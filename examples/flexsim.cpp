@@ -27,8 +27,9 @@
 //   shards     = 1                             (spatial shards; results are
 //                                               bit-identical at any count)
 //   shard_threads = 0                          (shard pool size; 0 = auto)
-//   idle_skip  = false                         (skip provably-inert cycles;
-//                                               implies event-driven mode)
+//
+// Provably inert cycles (nothing queued, buffered or on a wire) are always
+// skipped; the summary line reports how many.
 //
 // Live fault lifecycle (optional; arms the recovery controller):
 //   fault_at   = 1500:link:27:1,2200:node:12   (timed mid-run kill events:
@@ -423,14 +424,11 @@ int main(int argc, char** argv) {
   base.measure_cycles = cfg.get_int("measure", 2000);
   base.detection_delay = cfg.get_int("detection_delay", 0);
   base.max_retries = static_cast<int>(cfg.get_int("max_retries", 3));
-  base.idle_skip = cfg.get_bool("idle_skip", false);
   base.rolling_shards = static_cast<int>(cfg.get_int("rolling_shards", 8));
 
   NetworkConfig ncfg;
   ncfg.shards = static_cast<int>(cfg.get_int("shards", 1));
   ncfg.shard_threads = static_cast<int>(cfg.get_int("shard_threads", 0));
-  // Idle skipping needs the event-driven worklists even at one shard.
-  ncfg.event_driven = base.idle_skip;
 
   FaultSchedule schedule;
   try {
@@ -469,11 +467,13 @@ int main(int argc, char** argv) {
   int exchanges = 0;
   std::string link_report;
   std::string tier_report;  // AOT tier of the first point's algorithm
+  // Inert cycles each point skipped (one slot per point: no shared writes).
+  std::vector<Cycle> skipped(rates.size(), 0);
   std::vector<SweepPoint> points;
   for (std::size_t i = 0; i < rates.size(); ++i) {
     const double rate = rates[i];
     const bool first_point = i == 0;
-    points.push_back({[&, rate, first_point](std::uint64_t derived_seed) {
+    points.push_back({[&, i, rate, first_point](std::uint64_t derived_seed) {
       auto algo = build_algorithm(aname, tname, cfg, exec_mode, *topo);
       auto traffic = make_traffic(pattern, *topo, seed);
       Network net(*topo, *algo, ncfg);
@@ -496,6 +496,7 @@ int main(int argc, char** argv) {
       if (!swap_source.empty())
         sim.schedule_rule_swap(swap_at, swap_source, swap_policy);
       SimResult r = sim.run();
+      skipped[i] = sim.idle_cycles_skipped();
       if (single && cfg.get_bool("show_links", false)) {
         std::ostringstream os;
         os << "hottest links (flits/cycle):\n";
@@ -531,7 +532,9 @@ int main(int argc, char** argv) {
               << " node faults (reconfiguration: " << exchanges
               << " exchanges)";
   if (ncfg.shards > 1) std::cout << ", " << ncfg.shards << " shards";
-  if (base.idle_skip) std::cout << ", idle-skip";
+  Cycle total_skipped = 0;
+  for (const Cycle c : skipped) total_skipped += c;
+  std::cout << ", " << total_skipped << " inert cycles skipped";
   if (rule_driven_name(aname))
     std::cout << ", exec " << (exec_mode_s.empty() ? "aot" : exec_mode_s)
               << tier_report;

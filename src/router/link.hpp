@@ -82,6 +82,7 @@ class Link {
     s.arrive = now + latency_;
     s.vc = vc;
     s.flit = flit;
+    note_busy();
     ++flits_in_flight_;
     if (throttle_ > 1) next_free_ = now + throttle_;
     info_.record_transfer(now);
@@ -89,6 +90,9 @@ class Link {
 
   /// Flit arriving at `now`, if any (at most one per cycle per link).
   std::optional<std::pair<VcId, Flit>> receive_flit(Cycle now) {
+    // Idle links answer from the object itself, without touching the
+    // stage array: routers poll every port every cycle.
+    if (flits_in_flight_ == 0) return std::nullopt;
     FlitStage& s = flits_[stage_index(now)];
     if (s.arrive < 0) return std::nullopt;
     FR_ASSERT_MSG(s.arrive == now, "link delivery missed a cycle");
@@ -111,6 +115,7 @@ class Link {
     }
     CreditStage& s = credits_[stage_index(now + latency_)];
     const std::uint32_t bit = 1u << static_cast<unsigned>(vc);
+    note_busy();
     if (s.arrive == now + latency_) {
       FR_ASSERT_MSG((s.mask & bit) == 0,
                     "two credits for one VC in one cycle");
@@ -125,6 +130,7 @@ class Link {
 
   /// All credits arriving at `now`, one bit per VC (bit v == VC v).
   std::uint32_t receive_credits(Cycle now) {
+    if (credits_in_flight_ == 0) return 0;
     CreditStage& s = credits_[stage_index(now)];
     if (s.arrive < 0) return 0;
     FR_ASSERT_MSG(s.arrive == now, "credit delivery missed a cycle");
@@ -139,6 +145,18 @@ class Link {
     return flits_in_flight_ == 0 && credits_in_flight_ == 0 &&
            pending_vc_ < 0 && pending_credit_mask_ == 0;
   }
+
+  /// Busy-link worklist hook: while a list is registered, the first flit or
+  /// credit sent on an unmarked link marks it and appends `id` to `list`,
+  /// so the owner never scans idle links to find busy ones. The owner
+  /// calls clear_busy_mark() when it drops the link from the list. Sends
+  /// on one link come only from its two endpoint routers, so a list shared
+  /// by the routers of one shard is written by one thread.
+  void watch_busy(std::vector<std::int32_t>* list, std::int32_t id) {
+    busy_list_ = list;
+    busy_id_ = id;
+  }
+  void clear_busy_mark() { busy_marked_ = false; }
 
   /// Shard-boundary mode: sends stage into pending slots instead of the
   /// shift registers until flush_deferred applies them (canonical link
@@ -243,6 +261,12 @@ class Link {
     return static_cast<std::size_t>(arrival) & stage_mask_;
   }
 
+  void note_busy() {
+    if (busy_list_ == nullptr || busy_marked_) return;
+    busy_marked_ = true;
+    busy_list_->push_back(busy_id_);
+  }
+
   int num_vcs_;
   int latency_;
   std::size_t stage_mask_ = 0;
@@ -259,6 +283,10 @@ class Link {
   VcId pending_vc_ = kInvalidVc;
   Flit pending_flit_;
   std::uint32_t pending_credit_mask_ = 0;
+  /// watch_busy registration (null: not tracked, e.g. boundary links).
+  std::vector<std::int32_t>* busy_list_ = nullptr;
+  std::int32_t busy_id_ = -1;
+  bool busy_marked_ = false;
   LinkInfoUnit info_;
 };
 

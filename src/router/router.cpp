@@ -105,12 +105,17 @@ void Router::kill_output_port(PortId port, std::vector<PacketSlot>& orphaned) {
     OutputVc& o = ovc(port, v);
     if (!o.owned) continue;
     orphaned.push_back(o.owner_slot);
-    // Ownership is torn down here; the owner input VC's share of
-    // assigned_flits is rolled back when its first poisoned flit drains
-    // (release_commitment), or by flush() if the worm's remaining flits
-    // were all destroyed elsewhere.
-    o.owned = false;
-    o.owner_slot = kInvalidPacketSlot;
+    // Tear the commitment down on both sides now. The owner input VC goes
+    // idle: its buffered flits of the worm drain as poisoned, and when it
+    // holds none (the worm's tail was truncated upstream) it must not stay
+    // aimed at the dead port for the next worm that arrives on it.
+    const int owner = in_index(o.owner_port, o.owner_vc);
+    InputVc& in = inputs_[static_cast<std::size_t>(owner)];
+    FR_ASSERT_MSG(in.out_port == port && in.out_vc == v,
+                  "output VC owner is not committed to it");
+    release_commitment(in);
+    meta_[static_cast<std::size_t>(owner)].status =
+        static_cast<std::uint8_t>(VcStatus::Idle);
   }
 }
 

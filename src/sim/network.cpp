@@ -25,22 +25,20 @@ Network::Network(const Topology& topo, RoutingAlgorithm& algo,
   injection_pending_.assign(n, 0);
   router_active_.assign(n, 0);
   live_killed_.assign(n, 0);
-  pending_list_.reserve(n);
-  active_list_.reserve(n);
   records_.reserve(cfg.expected_packets);
-  // Step scratch, pre-sized unconditionally: deliveries per cycle cannot
-  // exceed the node count, and one router ejects at most a handful of
-  // flits per cycle. Sized to n so steady-state step() never allocates.
+  // Deliveries per cycle cannot exceed the node count: sized to n so
+  // steady-state step() never allocates.
   delivered_last_cycle_.reserve(n);
-  eject_scratch_.reserve(32);
-  drop_scratch_.reserve(32);
   destroyed_scratch_.reserve(64);
   orphan_scratch_.reserve(16);
   lost_log_.reserve(64);
   for (auto& q : injection_queues_) q.reserve(16);
 
-  // One Link object per directed channel.
+  // One Link object per directed channel, stored contiguously so the
+  // router phase walks link state in address order. Reserved up front:
+  // routers keep pointers into the array.
   link_lookup_.assign(n * static_cast<std::size_t>(topo.degree()), -1);
+  links_.reserve(topo.directed_links().size());
   for (NodeId u = 0; u < topo.num_nodes(); ++u) {
     for (PortId p = 0; p < topo.degree(); ++p) {
       const NodeId v = topo.neighbor(u, p);
@@ -49,25 +47,20 @@ Network::Network(const Topology& topo, RoutingAlgorithm& algo,
                        static_cast<std::size_t>(topo.degree()) +
                    static_cast<std::size_t>(p)] =
           static_cast<std::ptrdiff_t>(links_.size());
-      links_.push_back(
-          std::make_unique<Link>(algo.num_vcs(), cfg.link_latency));
+      links_.emplace_back(algo.num_vcs(), cfg.link_latency);
       link_sources_.push_back({u, p});
       link_dests_.push_back(v);
-      Link* link = links_.back().get();
+      Link* link = &links_.back();
       routers_[static_cast<std::size_t>(u)]->connect_output(p, link);
       routers_[static_cast<std::size_t>(v)]->connect_input(
           topo.reverse_port(u, p), link);
     }
   }
 
-  // Unified (sharded / event-driven) execution state. The legacy serial
-  // path keeps running through the original members when this is off.
-  unified_ = cfg_.shards > 1 || cfg_.event_driven;
-  if (!unified_) return;
+  // Sharded execution state: per-shard worklists and event buffers.
   FR_REQUIRE(cfg_.shards >= 1);
   plan_ = plan_shards(topo, cfg_.shards);
   shards_.resize(static_cast<std::size_t>(cfg_.shards));
-  link_busy_.assign(links_.size(), 0);
   merge_pos_.assign(static_cast<std::size_t>(cfg_.shards), 0);
   for (int s = 0; s < cfg_.shards; ++s) {
     Shard& sh = shards_[static_cast<std::size_t>(s)];
@@ -83,29 +76,19 @@ Network::Network(const Topology& topo, RoutingAlgorithm& algo,
     sh.drops.reserve(32);
     sh.spans.reserve(sn);
   }
-  // Boundary links (endpoints in different shards) stage their sends and
-  // flush at the barrier, in ascending link id — the canonical order.
+  // In-shard links report themselves to their shard's busy list when they
+  // turn busy. Boundary links (endpoints in different shards) stage their
+  // sends and flush at the barrier, in ascending link id — the canonical
+  // order — and are rescanned serially every cycle instead.
   for (std::size_t i = 0; i < links_.size(); ++i) {
-    if (plan_.shard(link_sources_[i].node) == plan_.shard(link_dests_[i]))
+    const int s = plan_.shard(link_sources_[i].node);
+    if (s == plan_.shard(link_dests_[i])) {
+      links_[i].watch_busy(&shards_[static_cast<std::size_t>(s)].busy_links,
+                            static_cast<std::int32_t>(i));
       continue;
-    boundary_links_.push_back(static_cast<std::int32_t>(i));
-    links_[i]->set_deferred(true);
-  }
-  // Per-node adjacency over in-shard links only (out-links first, then
-  // in-links): the post-step busy-link discovery walk. Boundary links are
-  // rescanned serially every cycle instead.
-  const auto deg = static_cast<std::size_t>(topo.degree());
-  adj_links_.assign(n * 2 * deg, -1);
-  for (NodeId u = 0; u < topo.num_nodes(); ++u) {
-    for (PortId p = 0; p < topo.degree(); ++p) {
-      const NodeId v = topo.neighbor(u, p);
-      if (v == kInvalidNode || plan_.shard(u) != plan_.shard(v)) continue;
-      const std::size_t base = static_cast<std::size_t>(u) * 2 * deg;
-      adj_links_[base + static_cast<std::size_t>(p)] =
-          static_cast<std::int32_t>(link_index(u, p));
-      adj_links_[base + deg + static_cast<std::size_t>(p)] =
-          static_cast<std::int32_t>(link_index(v, topo.reverse_port(u, p)));
     }
+    boundary_links_.push_back(static_cast<std::int32_t>(i));
+    links_[i].set_deferred(true);
   }
   int threads = cfg_.shard_threads;
   if (threads <= 0) {
@@ -169,118 +152,6 @@ PacketId Network::resend(PacketId prior, Cycle now) {
   return id;
 }
 
-void Network::step(Cycle now) {
-  if (unified_) {
-    step_sharded(now);
-  } else {
-    step_serial(now);
-  }
-}
-
-void Network::step_serial(Cycle now) {
-  delivered_last_cycle_.clear();
-
-  // Injection: at most one flit per node per cycle (local link bandwidth).
-  // Only nodes with queued flits are visited, in ascending node order —
-  // identical to a full scan. Sources whose queue empties drop off the
-  // worklist; the rest compact in place (which keeps the list sorted).
-  if (!pending_sorted_) {
-    std::sort(pending_list_.begin(), pending_list_.end());
-    pending_sorted_ = true;
-  }
-  const bool purge = store_.poisoned_live() > 0;
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < pending_list_.size(); ++i) {
-    const NodeId u = pending_list_[i];
-    auto& queue = injection_queues_[static_cast<std::size_t>(u)];
-    Router& r = *routers_[static_cast<std::size_t>(u)];
-    // Source-side abort: queued flits of a truncated worm never enter the
-    // network. The whole front run goes at once — dead flits consume no
-    // injection bandwidth.
-    if (purge) {
-      while (!queue.empty() && store_.poisoned(queue.front().slot)) {
-        const Flit f = queue.front();
-        queue.pop_front();
-        ++network_dropped_flits_;
-        account_dropped_flit(f.slot);
-      }
-    }
-    if (!queue.empty() && r.injection_space() > 0) {
-      const Flit f = queue.front();
-      queue.pop_front();
-      if (f.head()) {
-        const Header& hdr = store_.header(f.slot);
-        records_[static_cast<std::size_t>(hdr.packet)].injected = now;
-      }
-      r.inject(f);
-      activate(u);
-    }
-    if (queue.empty())
-      injection_pending_[static_cast<std::size_t>(u)] = 0;
-    else
-      pending_list_[keep++] = u;
-  }
-  pending_list_.resize(keep);
-
-  // Routers: walk the active worklist in ascending node order (identical
-  // to the full scan it replaces). Routers that emptied drop off; the
-  // link pass below re-activates any endpoint of a busy link.
-  if (!active_sorted_) {
-    std::sort(active_list_.begin(), active_list_.end());
-    active_sorted_ = true;
-  }
-  std::size_t akeep = 0;
-  for (std::size_t i = 0; i < active_list_.size(); ++i) {
-    const NodeId u = active_list_[i];
-    eject_scratch_.clear();
-    drop_scratch_.clear();
-    routers_[static_cast<std::size_t>(u)]->step(now, eject_scratch_,
-                                               drop_scratch_);
-    for (const Flit& f : drop_scratch_) account_dropped_flit(f.slot);
-    for (const Flit& f : eject_scratch_) {
-      // Resolve the slot to the full record at the network boundary — the
-      // last reader before the slot is recycled (head == tail for length-1
-      // packets, so read before release).
-      const Header& hdr = store_.header(f.slot);
-      PacketRecord& rec = records_[static_cast<std::size_t>(hdr.packet)];
-      FR_ASSERT_MSG(rec.dest == u, "flit ejected at the wrong node");
-      const bool last = store_.note_flit_gone(f.slot);
-      if (store_.poisoned(f.slot)) {
-        // The worm was truncated after part of it reached the destination;
-        // what does arrive is discarded, not delivered.
-        if (last) finalize_lost(f.slot);
-        continue;
-      }
-      if (f.head()) {
-        rec.hops = hdr.path_len;
-        rec.misrouted = hdr.misrouted;
-      }
-      if (f.tail()) {
-        FR_ASSERT_MSG(last, "tail ejected with flits unaccounted");
-        rec.delivered = now;
-        rec.slot = kInvalidPacketSlot;
-        ++delivered_count_;
-        delivered_last_cycle_.push_back(rec.id);
-        store_.release(f.slot);
-      }
-    }
-    if (routers_[static_cast<std::size_t>(u)]->empty())
-      router_active_[static_cast<std::size_t>(u)] = 0;
-    else
-      active_list_[akeep++] = u;
-  }
-  active_list_.resize(akeep);
-
-  // A busy link keeps both endpoints live for the next cycle: the receiver
-  // must accept arriving flits, the sender must pick up returning credits
-  // the cycle they land.
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    if (links_[i]->idle()) continue;
-    activate(link_sources_[i].node);
-    activate(link_dests_[i]);
-  }
-}
-
 void Network::shard_phase(int s, Cycle now, bool purge) {
   Shard& sh = shards_[static_cast<std::size_t>(s)];
   sh.purge_drops.clear();
@@ -289,9 +160,12 @@ void Network::shard_phase(int s, Cycle now, bool purge) {
   sh.drops.clear();
   sh.spans.clear();
 
-  // Injection, exactly as step_serial — but loss accounting is deferred:
-  // the shared store, lost log and counters mutate only in the epilogue,
-  // in the serial path's node order.
+  // Injection: at most one flit per node per cycle (local link bandwidth),
+  // visiting only nodes with queued flits, in ascending node order.
+  // Source-side abort: queued flits of a truncated worm never enter the
+  // network; the whole front run goes at once (dead flits consume no
+  // injection bandwidth). Loss accounting is deferred: the shared store,
+  // lost log and counters mutate only in the epilogue, in node order.
   if (!sh.pending_sorted) {
     std::sort(sh.pending_list.begin(), sh.pending_list.end());
     sh.pending_sorted = true;
@@ -329,14 +203,14 @@ void Network::shard_phase(int s, Cycle now, bool purge) {
 
   // Routers, ascending node order within the shard. Ejects and drops are
   // recorded per router and replayed in the epilogue; everything a router
-  // touches here is shard-local, a per-packet slot it exclusively holds
-  // (the head flit lives in exactly one router), or a boundary link's
-  // staging slot.
+  // touches here is shard-local (the busy list included: a link turns busy
+  // only through a send by one of its endpoints), a per-packet slot it
+  // exclusively holds (the head flit lives in exactly one router), or a
+  // boundary link's staging slot.
   if (!sh.active_sorted) {
     std::sort(sh.active_list.begin(), sh.active_list.end());
     sh.active_sorted = true;
   }
-  const auto deg2 = 2 * static_cast<std::size_t>(topo_->degree());
   std::size_t akeep = 0;
   for (std::size_t i = 0; i < sh.active_list.size(); ++i) {
     const NodeId u = sh.active_list[i];
@@ -349,16 +223,6 @@ void Network::shard_phase(int s, Cycle now, bool purge) {
     span.drop_end = static_cast<std::uint32_t>(sh.drops.size());
     if (span.eject_end != span.eject_begin || span.drop_end != span.drop_begin)
       sh.spans.push_back(span);
-    // Busy-link discovery: a link only turns busy through a send by an
-    // adjacent stepped router, so walking the stepped routers' in-shard
-    // adjacency finds every newly busy link.
-    const std::int32_t* adj = &adj_links_[static_cast<std::size_t>(u) * deg2];
-    for (std::size_t k = 0; k < deg2; ++k) {
-      const std::int32_t l = adj[k];
-      if (l >= 0 && !link_busy_[static_cast<std::size_t>(l)] &&
-          !links_[static_cast<std::size_t>(l)]->idle())
-        mark_link_busy(l);
-    }
     if (routers_[static_cast<std::size_t>(u)]->empty())
       router_active_[static_cast<std::size_t>(u)] = 0;
     else
@@ -371,8 +235,9 @@ void Network::shard_phase(int s, Cycle now, bool purge) {
   std::size_t lkeep = 0;
   for (std::size_t i = 0; i < sh.busy_links.size(); ++i) {
     const std::int32_t l = sh.busy_links[i];
-    if (links_[static_cast<std::size_t>(l)]->idle()) {
-      link_busy_[static_cast<std::size_t>(l)] = 0;
+    Link& link = links_[static_cast<std::size_t>(l)];
+    if (link.idle()) {
+      link.clear_busy_mark();
       continue;
     }
     activate(link_sources_[static_cast<std::size_t>(l)].node);
@@ -382,7 +247,7 @@ void Network::shard_phase(int s, Cycle now, bool purge) {
   sh.busy_links.resize(lkeep);
 }
 
-void Network::step_sharded(Cycle now) {
+void Network::step(Cycle now) {
   delivered_last_cycle_.clear();
   const bool purge = store_.poisoned_live() > 0;
 
@@ -409,10 +274,10 @@ void Network::step_sharded(Cycle now) {
   // credits in ascending link id — the canonical order — and keep the
   // endpoints of non-idle boundary links on next cycle's active lists.
   // Link flushes touch no shared packet state, so their order relative to
-  // the replays below is free; the replays themselves reproduce the serial
-  // path's mutation order exactly.
+  // the replays below is free; the replays themselves mutate shared state
+  // in ascending node order at every shard count.
   for (const std::int32_t l : boundary_links_) {
-    Link& link = *links_[static_cast<std::size_t>(l)];
+    Link& link = links_[static_cast<std::size_t>(l)];
     link.flush_deferred(now);
     if (!link.idle()) {
       activate(link_sources_[static_cast<std::size_t>(l)].node);
@@ -448,9 +313,9 @@ void Network::step_sharded(Cycle now) {
     }
   }
 
-  // 3. Per-router drop/eject replay, ascending node order across shards —
-  // byte for byte the serial path's accounting, so the lost log, the
-  // delivery order and the store's free-list state match exactly.
+  // 3. Per-router drop/eject replay, ascending node order across shards,
+  // so the lost log, the delivery order and the store's free-list state
+  // are identical at any shard count.
   std::fill(merge_pos_.begin(), merge_pos_.end(), 0);
   for (;;) {
     int best = -1;
@@ -474,11 +339,16 @@ void Network::step_sharded(Cycle now) {
       account_dropped_flit(sh.drops[i].slot);
     for (std::uint32_t i = span.eject_begin; i < span.eject_end; ++i) {
       const Flit& f = sh.ejects[i];
+      // Resolve the slot to the full record at the network boundary — the
+      // last reader before the slot is recycled (head == tail for length-1
+      // packets, so read before release).
       const Header& hdr = store_.header(f.slot);
       PacketRecord& rec = records_[static_cast<std::size_t>(hdr.packet)];
       FR_ASSERT_MSG(rec.dest == u, "flit ejected at the wrong node");
       const bool last = store_.note_flit_gone(f.slot);
       if (store_.poisoned(f.slot)) {
+        // The worm was truncated after part of it reached the destination;
+        // what does arrive is discarded, not delivered.
         if (last) finalize_lost(f.slot);
         continue;
       }
@@ -499,7 +369,6 @@ void Network::step_sharded(Cycle now) {
 }
 
 bool Network::inert() const {
-  if (!unified_) return false;
   // Every router holding flits sits on an active list; every busy link
   // (boundary included) re-activates its endpoints each cycle; every
   // queued injection keeps its source on a pending list. Empty worklists
@@ -519,8 +388,8 @@ bool Network::idle() const {
     if (!q.empty()) return false;
   for (const auto& r : routers_)
     if (!r->empty()) return false;
-  for (const auto& l : links_)
-    if (!l->idle()) return false;
+  for (const Link& l : links_)
+    if (!l.idle()) return false;
   return true;
 }
 
@@ -597,8 +466,8 @@ void Network::kill_link_live(NodeId node, PortId port) {
   const PortId rport = topo_->reverse_port(node, port);
   const std::ptrdiff_t rev = link_index(peer, rport);
   FR_ASSERT(fwd >= 0 && rev >= 0);
-  const bool hw_dead = links_[static_cast<std::size_t>(fwd)]->failed() &&
-                       links_[static_cast<std::size_t>(rev)]->failed();
+  const bool hw_dead = links_[static_cast<std::size_t>(fwd)].failed() &&
+                       links_[static_cast<std::size_t>(rev)].failed();
   if (hw_dead && (projected_link_marked(node, port) ||
                   projected_node_faulty(node) || projected_node_faulty(peer)))
     return;  // already dead and staying dead (e.g. via a node kill)
@@ -609,8 +478,8 @@ void Network::kill_link_live(NodeId node, PortId port) {
     // dead channel on either side are orphaned, so their upstream fragments
     // truncate hop by hop and their buffers/VCs/slots come back.
     destroyed_scratch_.clear();
-    links_[static_cast<std::size_t>(fwd)]->fail(destroyed_scratch_);
-    links_[static_cast<std::size_t>(rev)]->fail(destroyed_scratch_);
+    links_[static_cast<std::size_t>(fwd)].fail(destroyed_scratch_);
+    links_[static_cast<std::size_t>(rev)].fail(destroyed_scratch_);
     orphan_scratch_.clear();
     routers_[static_cast<std::size_t>(node)]->kill_output_port(
         port, orphan_scratch_);
@@ -650,9 +519,9 @@ void Network::kill_node_live(NodeId node) {
       const NodeId peer = topo_->neighbor(node, p);
       if (peer == kInvalidNode) continue;
       const PortId rport = topo_->reverse_port(node, p);
-      links_[static_cast<std::size_t>(link_index(node, p))]->fail(
+      links_[static_cast<std::size_t>(link_index(node, p))].fail(
           destroyed_scratch_);
-      links_[static_cast<std::size_t>(link_index(peer, rport))]->fail(
+      links_[static_cast<std::size_t>(link_index(peer, rport))].fail(
           destroyed_scratch_);
       routers_[static_cast<std::size_t>(peer)]->kill_output_port(
           rport, orphan_scratch_);
@@ -711,8 +580,8 @@ void Network::degrade_link_live(NodeId node, PortId port, int factor) {
   const std::ptrdiff_t rev =
       link_index(peer, topo_->reverse_port(node, port));
   FR_ASSERT(fwd >= 0 && rev >= 0);
-  links_[static_cast<std::size_t>(fwd)]->set_throttle(factor);
-  links_[static_cast<std::size_t>(rev)]->set_throttle(factor);
+  links_[static_cast<std::size_t>(fwd)].set_throttle(factor);
+  links_[static_cast<std::size_t>(rev)].set_throttle(factor);
 }
 
 void Network::kill_packet(PacketId id) {
@@ -777,10 +646,10 @@ int Network::commit_pending_faults() {
     if (faults_.link_marked_faulty(l.node, l.port) ||
         faults_.node_faulty(l.node) || faults_.node_faulty(peer))
       continue;
-    links_[static_cast<std::size_t>(link_index(l.node, l.port))]->repair();
+    links_[static_cast<std::size_t>(link_index(l.node, l.port))].repair();
     links_[static_cast<std::size_t>(
                link_index(peer, topo_->reverse_port(l.node, l.port)))]
-        ->repair();
+        .repair();
   }
   return exchanges;
 }
@@ -865,9 +734,9 @@ std::vector<Network::LinkLoad> Network::link_utilization(Cycle elapsed) const {
     LinkLoad l;
     l.from = link_sources_[i].node;
     l.port = link_sources_[i].port;
-    l.utilization = static_cast<double>(links_[i]->info().flits_total()) /
+    l.utilization = static_cast<double>(links_[i].info().flits_total()) /
                     static_cast<double>(elapsed);
-    l.degrade = links_[i]->throttle();
+    l.degrade = links_[i].throttle();
     out.push_back(l);
   }
   std::sort(out.begin(), out.end(), [](const LinkLoad& a, const LinkLoad& b) {

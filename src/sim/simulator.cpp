@@ -103,9 +103,6 @@ std::string SimResult::to_string() const {
 Simulator::Simulator(Network& net, TrafficPattern& traffic,
                      const SimConfig& cfg)
     : net_(&net), traffic_(&traffic), cfg_(cfg), rng_(cfg.seed) {
-  FR_REQUIRE_MSG(!cfg.idle_skip || net.event_capable(),
-                 "idle_skip requires an event-capable network "
-                 "(NetworkConfig::event_driven or shards > 1)");
   lifecycle_ = cfg.structured_watchdog;
   retry_queue_.reserve(16);
 }
@@ -329,7 +326,7 @@ SimResult Simulator::run() {
       if (lifecycle_) flush_retry_queue(result);
       inject_offered_load(false);
     }
-    if (cfg_.idle_skip && net_->inert()) {
+    if (net_->inert()) {
       // Inert network: stepping would change nothing. Normal-state cycles
       // advance one at a time (the injection RNG above already drew for
       // this cycle); Detecting-state cycles consume no randomness, so the
@@ -363,7 +360,7 @@ SimResult Simulator::run() {
     } else {
       ++gated_measure_cycles_;
     }
-    if (cfg_.idle_skip && net_->inert()) {
+    if (net_->inert()) {
       const Cycle jump = rstate_ == RecoveryState::Detecting
                              ? jump_span(cfg_.measure_cycles - c)
                              : 1;

@@ -52,16 +52,6 @@ struct SimConfig {
   /// shard count (NetworkConfig::shards) so results stay bit-identical
   /// whatever parallelism the run uses. Clamped to the node count.
   int rolling_shards = 8;
-
-  // --- Event-driven idle skipping ---------------------------------------
-  /// Skip network steps while the network is inert (no flits, no queued
-  /// injections, no in-flight link traffic). Requires an event-capable
-  /// network (NetworkConfig::event_driven or shards > 1). Results are
-  /// bit-identical with skipping on or off: inert Normal-state cycles elide
-  /// only the no-op step (the injection RNG still draws every cycle), and
-  /// Detecting-state cycles — where no RNG is consumed — jump straight to
-  /// the next scheduled event (detection deadline or fault firing).
-  bool idle_skip = false;
 };
 
 struct SimResult {
@@ -182,9 +172,13 @@ class Simulator {
 
   Cycle now() const { return now_; }
 
-  /// Cumulative count of cycles whose network step was elided by idle
-  /// skipping (a simulator-side perf counter; deliberately not part of
-  /// SimResult, which stays bit-identical with skipping on or off).
+  /// Cumulative count of cycles whose network step was elided because the
+  /// network certified itself inert (no flits, no queued injections, no
+  /// in-flight link traffic). Inert Normal-state cycles elide only the
+  /// no-op step (the injection RNG still draws every cycle); Detecting-
+  /// state cycles, which consume no randomness, jump straight to the next
+  /// scheduled event. A simulator-side perf counter, deliberately not part
+  /// of SimResult: skipping never changes results.
   Cycle idle_cycles_skipped() const { return skipped_cycles_; }
 
  private:

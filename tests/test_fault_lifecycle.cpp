@@ -98,6 +98,37 @@ TEST(FaultLifecycle, LinkKillMidMeasurementFullAccounting) {
   EXPECT_FALSE(net.recovery_pending());
 }
 
+TEST(FaultLifecycle, LinkKillLeavesNoInputVcAimedAtTheDeadPort) {
+  // The killed channel's worm had already left its input VC at node 3 and
+  // its tail was still queued upstream, so the truncation purged the tail
+  // at the source and no poisoned flit ever drained through node 3. The
+  // next worm handed that input VC must route afresh, not follow the dead
+  // worm's commitment onto the failed link.
+  Mesh m = Mesh::two_d(3, 2);
+  Nafta nafta;
+  Network net(m, nafta);
+  UniformTraffic traffic(m);
+  SimConfig cfg;
+  cfg.injection_rate = 0.3;
+  cfg.packet_length = 4;
+  cfg.warmup_cycles = 50;
+  cfg.measure_cycles = 200;
+  cfg.seed = 1;
+  FaultSchedule schedule;
+  schedule.fail_link_at(93, 3, 0);
+  Simulator sim(net, traffic, cfg);
+  sim.set_fault_schedule(schedule);
+  const SimResult r = sim.run();
+
+  EXPECT_FALSE(r.deadlock_suspected);
+  EXPECT_EQ(r.fault_events, 1);
+  EXPECT_EQ(r.recovery_events, 1);
+  EXPECT_GT(r.packets_lost, 0);
+  expect_exact_accounting(r);
+  ASSERT_TRUE(sim.quiesce());
+  EXPECT_EQ(net.packet_store().live_count(), 0u);
+}
+
 // ------------------------------------------------------- node kill, NAFTA
 TEST(FaultLifecycle, NodeKillOrphansEndpointTraffic) {
   Mesh m = Mesh::two_d(8, 8);

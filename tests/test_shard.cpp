@@ -1,10 +1,10 @@
 // Sharded-execution determinism suite. The contract under test: a Network
-// stepped as 1, 2, 4 or 8 spatial shards — with any thread count — produces
-// a SimResult bit-identical to the legacy serial step, on fault-free,
+// stepped as 2, 4 or 8 spatial shards — with any thread count — produces a
+// SimResult bit-identical to the single-shard step, on fault-free,
 // statically-faulted and live-fault-lifecycle scenarios, across every
-// registered routing algorithm; and the simulator's event-driven idle
-// skipping changes wall clock only, never results. Plus unit coverage for
-// the spatial shard planner itself.
+// registered routing algorithm; and the simulator's skipping of inert
+// cycles leaves exact-value pins untouched while skipping on low load.
+// Plus unit coverage for the spatial shard planner itself.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -175,8 +175,7 @@ std::unique_ptr<Topology> scenario_topo(const Scenario& sc) {
   FR_UNREACHABLE("bad scenario topology");
 }
 
-RunOutput run_scenario(const Scenario& sc, int shards, bool event_driven,
-                       bool idle_skip, int shard_threads) {
+RunOutput run_scenario(const Scenario& sc, int shards, int shard_threads) {
   auto topo = scenario_topo(sc);
   std::unique_ptr<RoutingAlgorithm> algo;
   if (sc.algo == "rule-ft-mesh") {
@@ -188,7 +187,6 @@ RunOutput run_scenario(const Scenario& sc, int shards, bool event_driven,
   }
   NetworkConfig ncfg;
   ncfg.shards = shards;
-  ncfg.event_driven = event_driven;
   ncfg.shard_threads = shard_threads;
   Network net(*topo, *algo, ncfg);
 
@@ -209,7 +207,6 @@ RunOutput run_scenario(const Scenario& sc, int shards, bool event_driven,
   cfg.measure_cycles = sc.measure;
   cfg.seed = sc.seed;
   cfg.detection_delay = sc.detection_delay;
-  cfg.idle_skip = idle_skip;
   Simulator sim(net, traffic, cfg);
   if (sc.lifecycle) {
     const Mesh* m = dynamic_cast<const Mesh*>(topo.get());
@@ -229,13 +226,13 @@ RunOutput run_scenario(const Scenario& sc, int shards, bool event_driven,
   return out;
 }
 
-/// Legacy serial run vs unified runs at 1/2/4/8 shards, forced onto a
-/// multi-thread pool (thread count must never matter — and under TSan this
-/// is the data-race certification for the parallel phase).
+/// Single-shard run vs runs at 2/4/8 shards, forced onto a multi-thread
+/// pool (thread count must never matter — and under TSan this is the
+/// data-race certification for the parallel phase).
 void expect_shard_identity(const Scenario& sc) {
-  const RunOutput base = run_scenario(sc, 1, false, false, 0);
-  for (const int shards : {1, 2, 4, 8}) {
-    const RunOutput got = run_scenario(sc, shards, true, false, 4);
+  const RunOutput base = run_scenario(sc, 1, 0);
+  for (const int shards : {2, 4, 8}) {
+    const RunOutput got = run_scenario(sc, shards, 4);
     const std::string label =
         sc.algo + "/" + sc.topo + " shards=" + std::to_string(shards);
     expect_identical(base.result, got.result, label);
@@ -318,22 +315,24 @@ TEST(ShardIdentityFaulted, LiveLifecycleBitIdentical) {
   expect_shard_identity(sc);
 }
 
-// --------------------------------------------------- event-driven skipping
+// ------------------------------------------------------ inert-cycle skipping
 
-TEST(EventSkip, SingleShardEventModeMatchesLegacy) {
-  // event_driven at shards == 1, no pool: the worklist bookkeeping alone
-  // must not change results.
-  Scenario sc;
-  sc.algo = "nafta";
-  const RunOutput base = run_scenario(sc, 1, false, false, 0);
-  const RunOutput ev = run_scenario(sc, 1, true, false, 1);
-  expect_identical(base.result, ev.result, "event_driven shards=1");
-  EXPECT_EQ(base.lost_log, ev.lost_log);
+/// `want` holds the exact values of a low-load run captured with every
+/// cycle stepped, at the revision where skipping was still optional.
+/// Skipping inert cycles must reproduce them bit for bit.
+void expect_pinned(const RunOutput& got, const SimResult& want,
+                   std::int64_t packets_created, const std::string& label) {
+  expect_identical(got.result, want, label);
+  SCOPED_TRACE(label);
+  EXPECT_TRUE(got.lost_log.empty());
+  EXPECT_EQ(got.packets_created, packets_created);
+  EXPECT_EQ(got.packets_delivered, packets_created);
+  EXPECT_GT(got.skipped, 0);
 }
 
-TEST(EventSkip, IdleSkipBitIdenticalAndSkipsOnLowLoad) {
+TEST(EventSkip, LowLoadLifecyclePinnedAndSkips) {
   // Low offered load on a live-lifecycle run with a long detection window:
-  // plenty of inert cycles. Skipping must change only the skip counter.
+  // plenty of inert cycles, including Detecting-state jumps.
   Scenario sc;
   sc.topo = "mesh8";
   sc.algo = "nafta";
@@ -343,35 +342,49 @@ TEST(EventSkip, IdleSkipBitIdenticalAndSkipsOnLowLoad) {
   sc.measure = 1500;
   sc.detection_delay = 500;
   sc.seed = 7;
-  const RunOutput off = run_scenario(sc, 2, true, false, 2);
-  const RunOutput on = run_scenario(sc, 2, true, true, 2);
-  expect_identical(off.result, on.result, "idle_skip on/off");
-  EXPECT_EQ(off.lost_log, on.lost_log);
-  EXPECT_EQ(off.skipped, 0);
-  EXPECT_GT(on.skipped, 0);
+  SimResult pin;
+  pin.injected_packets = 44;
+  pin.delivered_packets = 44;
+  pin.avg_latency = 0x1.f3a2e8ba2e8bap+4;
+  pin.p50_latency = 0x1.6p+4;
+  pin.p99_latency = 0x1.a9b3333333334p+7;
+  pin.avg_hops = 0x1.92e8ba2e8ba2cp+2;
+  pin.min_hops_ratio = 0x1.57a91d7a91d7bp+0;
+  pin.throughput = 0x1.e839d21ed6d59p-10;
+  pin.misrouted_fraction = 0x1.745d1745d1746p-5;
+  pin.avg_latency_misrouted = 0x1.a9p+7;
+  pin.avg_latency_direct = 0x1.6986186186187p+4;
+  pin.avg_decision_steps = 0x1.c6c4ec4ec4ec5p+0;
+  pin.cycles_run = 1828;
+  pin.fault_events = 2;
+  pin.recovery_events = 1;
+  pin.recovery_cycles = 500;
+  pin.availability = 0x1.5555555555556p-1;
+  pin.reconfig_exchanges = 2920;
+  expect_pinned(run_scenario(sc, 1, 0), pin, 57, "lifecycle shards=1");
+  expect_pinned(run_scenario(sc, 2, 2), pin, 57, "lifecycle shards=2");
 }
 
-TEST(EventSkip, FaultFreeIdleSkipBitIdentical) {
+TEST(EventSkip, FaultFreeLowLoadPinnedAndSkips) {
   // Fault-free near-zero load: Normal-state single-cycle skips only (the
   // injection RNG draws every cycle, so the clock never jumps).
   Scenario sc;
   sc.algo = "nafta";
   sc.rate = 0.001;
   sc.seed = 3;
-  const RunOutput off = run_scenario(sc, 1, true, false, 1);
-  const RunOutput on = run_scenario(sc, 1, true, true, 1);
-  expect_identical(off.result, on.result, "fault-free idle_skip");
-  EXPECT_GT(on.skipped, 0);
-}
-
-TEST(EventSkip, RequiresEventCapableNetwork) {
-  Mesh m = Mesh::two_d(4, 4);
-  auto algo = make_algorithm("nafta");
-  Network net(m, *algo);  // legacy serial network
-  UniformTraffic traffic(m);
-  SimConfig cfg;
-  cfg.idle_skip = true;
-  EXPECT_THROW(Simulator(net, traffic, cfg), ContractViolation);
+  SimResult pin;
+  pin.injected_packets = 7;
+  pin.delivered_packets = 7;
+  pin.avg_latency = 0x1.db6db6db6db6ep+3;
+  pin.p50_latency = 0x1.cp+3;
+  pin.p99_latency = 0x1.9a3d70a3d70a3p+4;
+  pin.avg_hops = 0x1.a492492492492p+1;
+  pin.min_hops_ratio = 0x1p+0;
+  pin.throughput = 0x1.53d0f8cb48704p-10;
+  pin.avg_latency_direct = 0x1.db6db6db6db6ep+3;
+  pin.avg_decision_steps = 0x1p+0;
+  pin.cycles_run = 800;
+  expect_pinned(run_scenario(sc, 1, 0), pin, 8, "fault-free shards=1");
 }
 
 }  // namespace
