@@ -25,15 +25,11 @@ int DynamicEscape::reconfigure() {
 void DynamicEscape::add_static_escape(const RouteContext& ctx,
                                       RouteDecision& d) const {
   if (use_reconf_escape_) {
-    UpDownTable::Phase phase = UpDownTable::Phase::Up;
-    if (ctx.in_vc == kStaticVc && ctx.in_port >= 0 &&
-        ctx.in_port < mesh_->degree()) {
-      const NodeId prev = mesh_->neighbor(ctx.node, ctx.in_port);
-      phase = reconf_escape_.is_up_move(
-                  prev, mesh_->reverse_port(ctx.node, ctx.in_port))
-                  ? UpDownTable::Phase::Up
-                  : UpDownTable::Phase::Down;
-    }
+    const bool on_escape = ctx.in_vc == kStaticVc && ctx.in_port >= 0 &&
+                           ctx.in_port < mesh_->degree();
+    const UpDownTable::Phase phase =
+        on_escape ? reconf_escape_.arrival_phase(ctx.node, ctx.in_port)
+                  : UpDownTable::Phase::Up;
     if (!reconf_escape_.reachable(ctx.node, ctx.dest)) return;
     for (const PortId p : reconf_escape_.next_hops(ctx.node, ctx.dest, phase))
       d.candidates.push_back({p, kStaticVc, -1});

@@ -134,16 +134,12 @@ bool Nafta::transit_ok(NodeId neighbor, NodeId dest) const {
 }
 
 void Nafta::add_escape(const RouteContext& ctx, RouteDecision& d) const {
-  UpDownTable::Phase phase = UpDownTable::Phase::Up;
   const bool arrived_on_escape =
       ctx.in_vc == kEscapeVc && ctx.in_port >= 0 &&
       ctx.in_port < mesh_->degree();
-  if (arrived_on_escape) {
-    const NodeId prev = mesh_->neighbor(ctx.node, ctx.in_port);
-    phase = escape_.is_up_move(prev, mesh_->reverse_port(ctx.node, ctx.in_port))
-                ? UpDownTable::Phase::Up
-                : UpDownTable::Phase::Down;
-  }
+  const UpDownTable::Phase phase =
+      arrived_on_escape ? escape_.arrival_phase(ctx.node, ctx.in_port)
+                        : UpDownTable::Phase::Up;
   if (!escape_.reachable(ctx.node, ctx.dest)) return;
   // Fault-aware adaptivity ranks the escape layer last; a fault-blind
   // measure treats it like any other output and may drag traffic onto the

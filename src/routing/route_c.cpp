@@ -86,14 +86,11 @@ bool RouteC::transit_ok(NodeId neighbor, NodeId dest) const {
 }
 
 void RouteC::add_escape(const RouteContext& ctx, RouteDecision& d) const {
-  UpDownTable::Phase phase = UpDownTable::Phase::Up;
-  if (ctx.in_vc == kEscapeVc && ctx.in_port >= 0 &&
-      ctx.in_port < cube_->degree()) {
-    const NodeId prev = cube_->neighbor(ctx.node, ctx.in_port);
-    phase = escape_.is_up_move(prev, cube_->reverse_port(ctx.node, ctx.in_port))
-                ? UpDownTable::Phase::Up
-                : UpDownTable::Phase::Down;
-  }
+  const bool on_escape = ctx.in_vc == kEscapeVc && ctx.in_port >= 0 &&
+                         ctx.in_port < cube_->degree();
+  const UpDownTable::Phase phase =
+      on_escape ? escape_.arrival_phase(ctx.node, ctx.in_port)
+                : UpDownTable::Phase::Up;
   if (!escape_.reachable(ctx.node, ctx.dest)) return;
   for (const PortId p : escape_.next_hops(ctx.node, ctx.dest, phase))
     d.candidates.push_back({p, kEscapeVc, -3});

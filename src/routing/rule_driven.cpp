@@ -825,16 +825,10 @@ Value RuleDrivenRouting::input_by_code(InCode code, const RouteContext& ctx,
         return Value::make_int(topo_->degree());
       const bool on_escape = ctx.in_vc == escape_vc_ && ctx.in_port >= 0 &&
                              ctx.in_port < topo_->degree();
-      UpDownTable::Phase phase = UpDownTable::Phase::Up;
-      if (on_escape) {
-        const NodeId prev = topo_->neighbor(ctx.node, ctx.in_port);
-        phase = escape_.is_up_move(
-                    prev, topo_->reverse_port(ctx.node, ctx.in_port))
-                    ? UpDownTable::Phase::Up
-                    : UpDownTable::Phase::Down;
-      }
-      return Value::make_int(
-          escape_.next_hops(ctx.node, ctx.dest, phase)[0]);
+      const UpDownTable::Phase phase =
+          on_escape ? escape_.arrival_phase(ctx.node, ctx.in_port)
+                    : UpDownTable::Phase::Up;
+      return Value::make_int(escape_.first_hop(ctx.node, ctx.dest, phase));
     }
     case InCode::XPos: return Value::make_int(mesh_->x_of(ctx.node));
     case InCode::YPos: return Value::make_int(mesh_->y_of(ctx.node));
@@ -912,16 +906,10 @@ Value RuleDrivenRouting::input_value(const RouteContext& ctx,
       // Deterministic escape hop; the injection port signals "none".
       if (ctx.dest == ctx.node || !escape_.reachable(ctx.node, ctx.dest))
         return Value::make_int(topo_->degree());
-      UpDownTable::Phase phase = UpDownTable::Phase::Up;
-      if (on_escape) {
-        const NodeId prev = topo_->neighbor(ctx.node, ctx.in_port);
-        phase = escape_.is_up_move(
-                    prev, topo_->reverse_port(ctx.node, ctx.in_port))
-                    ? UpDownTable::Phase::Up
-                    : UpDownTable::Phase::Down;
-      }
-      return Value::make_int(
-          escape_.next_hops(ctx.node, ctx.dest, phase)[0]);
+      const UpDownTable::Phase phase =
+          on_escape ? escape_.arrival_phase(ctx.node, ctx.in_port)
+                    : UpDownTable::Phase::Up;
+      return Value::make_int(escape_.first_hop(ctx.node, ctx.dest, phase));
     }
   }
   if (mesh_ != nullptr && mesh_->dims() == 2) {

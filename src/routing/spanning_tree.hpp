@@ -39,8 +39,16 @@ class SpanningTreeRouting final : public RoutingAlgorithm {
   const Topology* topo_ = nullptr;
   const FaultSet* faults_ = nullptr;
   SpanningTree tree_;
-  /// next_hop_[node * N + dest] — port toward dest along the tree path.
-  std::vector<PortId> next_hop_;
+  /// DFS pre-order interval of each tree node: the subtree of v holds
+  /// exactly the nodes d with enter_[v] <= enter_[d] < leave_[v]. Tree
+  /// paths are unique, so these intervals route in O(N) memory.
+  std::vector<int> enter_;
+  std::vector<int> leave_;
+  /// Children of v: child_[child_begin_[v] .. child_begin_[v + 1]).
+  std::vector<int> child_begin_;
+  std::vector<NodeId> child_;
+  /// down_port_[c] — the port on c's parent whose link leads to c.
+  std::vector<PortId> down_port_;
   std::uint64_t epoch_ = 0;
   int vcs_;
 };

@@ -15,6 +15,7 @@
 // grants.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "routing/routing.hpp"
@@ -30,6 +31,9 @@ class UpDownTable {
   /// state. Returns the number of node-to-node information exchanges the
   /// distributed construction would need (tree building is a BFS wave:
   /// one exchange per usable directed link, plus one wave round per level).
+  /// Every query answers for the fault state seen by the last rebuild.
+  /// Contract: 2 * num_nodes fits below the 16-bit distance sentinel
+  /// (at most 32767 nodes); checked before anything is allocated.
   int rebuild(const FaultSet& faults);
 
   bool ready() const { return !order_.empty(); }
@@ -39,6 +43,14 @@ class UpDownTable {
   /// path from the given phase. Empty iff dest is unreachable.
   StaticVector<PortId, 16> next_hops(NodeId node, NodeId dest,
                                     Phase phase) const;
+
+  /// The lowest-numbered port of next_hops(node, dest, phase): the
+  /// deterministic escape hop. Contract: that set is non-empty.
+  PortId first_hop(NodeId node, NodeId dest, Phase phase) const;
+
+  /// Phase of a packet that reached `node` through its port `in_port`: the
+  /// move prev -> node is up iff order(node) < order(prev).
+  Phase arrival_phase(NodeId node, PortId in_port) const;
 
   /// Phase after traversing `port` from `from`.
   Phase phase_after(NodeId from, PortId port) const;
@@ -54,19 +66,62 @@ class UpDownTable {
   int distance(NodeId from, NodeId to, Phase phase) const;
 
  private:
-  int idx(NodeId node, NodeId dest) const {
-    return static_cast<int>(node) * num_nodes_ + static_cast<int>(dest);
+  /// Shortest legal path lengths from one node to one destination,
+  /// starting in Up phase (`up`) or Down phase (`down`, only down moves
+  /// remain). kNoPath when unreachable.
+  struct Dist {
+    std::uint16_t up;
+    std::uint16_t down;
+  };
+  static constexpr std::uint16_t kNoPath = 0xFFFF;
+
+  /// One network port as seen at rebuild: the topology neighbour, whether
+  /// a message can traverse the link, and whether the move is up. `to` is
+  /// kept for unusable links too: arrival_phase answers for a packet that
+  /// crossed a link before it died.
+  struct Port {
+    NodeId to;
+    bool usable;
+    bool up;
+  };
+
+  /// Row of `dest`: entry `node` holds the distances from node to dest.
+  const Dist* row(NodeId dest) const {
+    const auto n = static_cast<std::size_t>(num_nodes_);
+    return dist_.data() + static_cast<std::size_t>(dest) * n;
+  }
+  const Dist& at(NodeId node, NodeId dest) const {
+    return row(dest)[static_cast<std::size_t>(node)];
+  }
+  const Port* ports(NodeId node) const {
+    const auto deg = static_cast<std::size_t>(degree_);
+    return ports_.data() + static_cast<std::size_t>(node) * deg;
+  }
+  /// Topology neighbour via a connected port (contract-checked).
+  NodeId neighbor(NodeId node, PortId port) const;
+  void require_node(NodeId n) const {
+    FR_REQUIRE(ready());
+    FR_REQUIRE(n >= 0 && n < num_nodes_);
   }
 
-  const Topology* topo_ = nullptr;
-  const FaultSet* faults_ = nullptr;
   std::uint64_t epoch_ = 0;
   int num_nodes_ = 0;
+  PortId degree_ = 0;
   std::vector<int> order_;
-  /// dist_up[node * N + dest]: shortest legal path length starting in Up
-  /// phase; dist_down: starting in Down phase (only down moves remain).
-  std::vector<int> dist_up_;
-  std::vector<int> dist_down_;
+  /// ports_[node * degree + port], filled at rebuild.
+  std::vector<Port> ports_;
+  /// Destination-major distance table: dist_[dest * N + node]. The BFS for
+  /// one destination writes one contiguous row, and next_hops reads a node
+  /// and its neighbours from that same row.
+  std::vector<Dist> dist_;
+  /// Rebuild scratch, kept so a rebuild reuses it. Predecessors of v are
+  /// pred_[pred_begin_[v] .. pred_begin_[v + 1]): first those that reach v
+  /// by an up move, then (from pred_mid_[v]) those that reach it by a down
+  /// move. queue_ is the BFS FIFO of (node << 1 | phase) states.
+  std::vector<NodeId> pred_;
+  std::vector<std::uint32_t> pred_begin_;
+  std::vector<std::uint32_t> pred_mid_;
+  std::vector<std::uint32_t> queue_;
 };
 
 /// Standalone up*/down* routing algorithm (single virtual channel).

@@ -146,15 +146,10 @@ std::optional<rules::Value> DecisionEnumerator::known_input(
       if (abstract_) return Value::make_int(kAbstractEscapePort);
       PortId port = degree;
       if (dest_ != node_ && escape_.reachable(node_, dest_)) {
-        UpDownTable::Phase phase = UpDownTable::Phase::Up;
-        if (on_escape) {
-          const NodeId prev = topo_.neighbor(node_, in_port_);
-          phase =
-              escape_.is_up_move(prev, topo_.reverse_port(node_, in_port_))
-                  ? UpDownTable::Phase::Up
-                  : UpDownTable::Phase::Down;
-        }
-        port = escape_.next_hops(node_, dest_, phase)[0];
+        const UpDownTable::Phase phase =
+            on_escape ? escape_.arrival_phase(node_, in_port_)
+                      : UpDownTable::Phase::Up;
+        port = escape_.first_hop(node_, dest_, phase);
       }
       record(CatalogRead::Kind::EscapePort, kInvalidPort, port);
       return Value::make_int(port);
@@ -496,14 +491,12 @@ std::int32_t DecisionEnumerator::recompute(const CatalogRead& r) const {
     case CatalogRead::Kind::EscapePort: {
       const PortId degree = topo_.degree();
       if (dest_ == node_ || !escape_.reachable(node_, dest_)) return degree;
-      UpDownTable::Phase phase = UpDownTable::Phase::Up;
-      if (in_vc_ == model_.escape_vc && in_port_ >= 0 && in_port_ < degree) {
-        const NodeId prev = topo_.neighbor(node_, in_port_);
-        phase = escape_.is_up_move(prev, topo_.reverse_port(node_, in_port_))
-                    ? UpDownTable::Phase::Up
-                    : UpDownTable::Phase::Down;
-      }
-      return escape_.next_hops(node_, dest_, phase)[0];
+      const bool on_escape =
+          in_vc_ == model_.escape_vc && in_port_ >= 0 && in_port_ < degree;
+      const UpDownTable::Phase phase =
+          on_escape ? escape_.arrival_phase(node_, in_port_)
+                    : UpDownTable::Phase::Up;
+      return escape_.first_hop(node_, dest_, phase);
     }
   }
   return 0;

@@ -3,7 +3,11 @@
 // mechanical deadlock-freedom checks via channel dependency graphs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <limits>
 #include <set>
+#include <string>
 
 #include "routing/cdg.hpp"
 #include "routing/dor.hpp"
@@ -14,6 +18,8 @@
 #include "routing/updown.hpp"
 #include "sim/fault_injector.hpp"
 #include "topology/graph_algo.hpp"
+#include "topology/hypercube.hpp"
+#include "topology/torus.hpp"
 
 namespace flexrouter {
 namespace {
@@ -195,6 +201,270 @@ TEST(UpDown, CdgAcyclicUnderRandomFaults) {
   }
 }
 
+// The dense per-destination BFS that UpDownTable replaced, kept as a test
+// oracle: int distances, a std::deque FIFO, and topology and fault-set
+// queries on every step. Only the rows of `dests` are computed, so a sample
+// of a 4096-node fabric stays cheap.
+class DenseUpDownOracle {
+ public:
+  static constexpr int kUnreachable = std::numeric_limits<int>::max() / 4;
+
+  DenseUpDownOracle(const FaultSet& faults, const std::vector<NodeId>& dests)
+      : topo_(faults.topology()),
+        faults_(faults),
+        n_(static_cast<std::size_t>(topo_.num_nodes())),
+        row_of_(n_, -1) {
+    const SpanningTree tree =
+        bfs_spanning_tree(faults, choose_tree_root(faults));
+    order_ = tree.order;
+    up_.assign(dests.size() * n_, kUnreachable);
+    down_.assign(dests.size() * n_, kUnreachable);
+    for (std::size_t r = 0; r < dests.size(); ++r) {
+      const NodeId dest = dests[r];
+      row_of_[static_cast<std::size_t>(dest)] = static_cast<int>(r);
+      if (faults.node_faulty(dest)) continue;
+      auto up = [&](NodeId v) -> int& { return up_[r * n_ + idx(v)]; };
+      auto down = [&](NodeId v) -> int& { return down_[r * n_ + idx(v)]; };
+      std::deque<std::pair<NodeId, int>> queue;
+      up(dest) = 0;
+      down(dest) = 0;
+      queue.emplace_back(dest, 0);
+      queue.emplace_back(dest, 1);
+      while (!queue.empty()) {
+        const auto [v, phase] = queue.front();
+        queue.pop_front();
+        const int dv = phase == 0 ? up(v) : down(v);
+        for (PortId pv = 0; pv < topo_.degree(); ++pv) {
+          if (!faults.link_usable(v, pv)) continue;
+          const NodeId u = topo_.neighbor(v, pv);
+          if (order_[idx(v)] < order_[idx(u)]) {
+            if (phase == 0 && up(u) > dv + 1) {
+              up(u) = dv + 1;
+              queue.emplace_back(u, 0);
+            }
+          } else if (phase == 1) {
+            if (down(u) > dv + 1) {
+              down(u) = dv + 1;
+              queue.emplace_back(u, 1);
+            }
+            if (up(u) > dv + 1) {
+              up(u) = dv + 1;
+              queue.emplace_back(u, 0);
+            }
+          }
+        }
+      }
+    }
+    int usable_links = 0;
+    for (NodeId u = 0; u < topo_.num_nodes(); ++u)
+      for (PortId p = 0; p < topo_.degree(); ++p)
+        if (faults.link_usable(u, p)) ++usable_links;
+    int levels = 0;
+    for (const int l : tree.level) levels = std::max(levels, l);
+    exchanges_ = usable_links * std::max(1, levels);
+  }
+
+  int exchanges() const { return exchanges_; }
+
+  int distance(NodeId from, NodeId to, UpDownTable::Phase phase) const {
+    const int d = raw(from, to, phase == UpDownTable::Phase::Up);
+    return d >= kUnreachable ? -1 : d;
+  }
+
+  bool is_up_move(NodeId from, PortId port) const {
+    return order_[idx(topo_.neighbor(from, port))] < order_[idx(from)];
+  }
+
+  std::vector<PortId> next_hops(NodeId node, NodeId dest,
+                                UpDownTable::Phase phase) const {
+    std::vector<PortId> out;
+    if (node == dest) return out;
+    const bool in_up = phase == UpDownTable::Phase::Up;
+    const int here = raw(node, dest, in_up);
+    if (here >= kUnreachable) return out;
+    for (PortId p = 0; p < topo_.degree(); ++p) {
+      if (!faults_.link_usable(node, p)) continue;
+      const bool up_move = is_up_move(node, p);
+      if (!in_up && up_move) continue;
+      if (raw(topo_.neighbor(node, p), dest, up_move) == here - 1)
+        out.push_back(p);
+    }
+    return out;
+  }
+
+ private:
+  static std::size_t idx(NodeId v) { return static_cast<std::size_t>(v); }
+  int raw(NodeId node, NodeId dest, bool up) const {
+    const int r = row_of_[idx(dest)];
+    EXPECT_GE(r, 0) << "oracle row " << dest << " was not computed";
+    const std::size_t i = static_cast<std::size_t>(r) * n_ + idx(node);
+    return up ? up_[i] : down_[i];
+  }
+
+  const Topology& topo_;
+  const FaultSet& faults_;
+  std::size_t n_;
+  std::vector<int> row_of_;
+  std::vector<int> order_;
+  std::vector<int> up_;
+  std::vector<int> down_;
+  int exchanges_ = 0;
+};
+
+std::vector<NodeId> all_nodes(const Topology& topo) {
+  std::vector<NodeId> out(static_cast<std::size_t>(topo.num_nodes()));
+  for (NodeId n = 0; n < topo.num_nodes(); ++n)
+    out[static_cast<std::size_t>(n)] = n;
+  return out;
+}
+
+std::vector<PortId> as_vector(const StaticVector<PortId, 16>& v) {
+  return {v.begin(), v.end()};
+}
+
+// Every distance, reachability, next-hop set and first hop of `table` over
+// all nodes, both phases and the oracle's destinations; plus the arrival
+// phase through every connected port.
+void expect_matches_oracle(const UpDownTable& table,
+                           const DenseUpDownOracle& oracle,
+                           const Topology& topo,
+                           const std::vector<NodeId>& dests,
+                           const std::string& label) {
+  int mismatches = 0;
+  for (const NodeId dest : dests)
+    for (NodeId node = 0; node < topo.num_nodes(); ++node)
+      for (const auto phase :
+           {UpDownTable::Phase::Up, UpDownTable::Phase::Down}) {
+        const int want = oracle.distance(node, dest, phase);
+        const auto hops = oracle.next_hops(node, dest, phase);
+        mismatches += table.distance(node, dest, phase) != want;
+        mismatches += as_vector(table.next_hops(node, dest, phase)) != hops;
+        if (phase == UpDownTable::Phase::Up)
+          mismatches += table.reachable(node, dest) != (want >= 0);
+        if (!hops.empty())
+          mismatches += table.first_hop(node, dest, phase) != hops[0];
+        ASSERT_EQ(mismatches, 0) << label << ": node " << node << " dest "
+                                 << dest << " phase "
+                                 << (phase == UpDownTable::Phase::Up ? "up"
+                                                                     : "down");
+      }
+  for (NodeId node = 0; node < topo.num_nodes(); ++node)
+    for (PortId p = 0; p < topo.degree(); ++p) {
+      const NodeId prev = topo.neighbor(node, p);
+      if (prev == kInvalidNode) continue;
+      const bool arrived_up =
+          oracle.is_up_move(prev, topo.reverse_port(node, p));
+      ASSERT_EQ(table.arrival_phase(node, p) == UpDownTable::Phase::Up,
+                arrived_up)
+          << label << ": node " << node << " port " << p;
+      ASSERT_EQ(table.is_up_move(node, p), oracle.is_up_move(node, p))
+          << label << ": node " << node << " port " << p;
+    }
+}
+
+void check_fabric_against_oracle(const Topology& topo,
+                                 const std::string& name) {
+  for (int trial = 0; trial < 4; ++trial) {
+    FaultSet f(topo);
+    Rng rng(1000 + static_cast<std::uint64_t>(trial));
+    // Trial 0 is fault-free; the others carry 1..3 link faults and one
+    // node fault.
+    if (trial > 0) {
+      inject_random_link_faults(f, trial, rng);
+      inject_random_node_faults(f, 1, rng);
+    }
+    const std::string label = name + " trial " + std::to_string(trial);
+    const auto dests = all_nodes(topo);
+    const DenseUpDownOracle oracle(f, dests);
+    UpDownTable table;
+    EXPECT_EQ(table.rebuild(f), oracle.exchanges()) << label;
+    expect_matches_oracle(table, oracle, topo, dests, label);
+  }
+}
+
+TEST(UpDownOracle, Mesh8x8MatchesDenseBfs) {
+  check_fabric_against_oracle(Mesh::two_d(8, 8), "8x8 mesh");
+}
+
+TEST(UpDownOracle, Torus8x8MatchesDenseBfs) {
+  check_fabric_against_oracle(Torus::two_d(8, 8), "8x8 torus");
+}
+
+TEST(UpDownOracle, Hypercube6MatchesDenseBfs) {
+  check_fabric_against_oracle(Hypercube(6), "6-cube");
+}
+
+TEST(UpDownOracle, PartitionedMeshMatchesDenseBfs) {
+  // A healthy 2x2 corner cut off from the tree root: its nodes keep order
+  // -1, so links inside it join equal orders, which the orientation must
+  // treat exactly as the dense table did.
+  Mesh m = Mesh::two_d(8, 8);
+  FaultSet f(m);
+  auto in_corner = [&](NodeId n) { return m.x_of(n) < 2 && m.y_of(n) < 2; };
+  for (NodeId n = 0; n < m.num_nodes(); ++n)
+    for (PortId p = 0; p < m.degree(); ++p) {
+      const NodeId other = m.neighbor(n, p);
+      if (in_corner(n) && other != kInvalidNode && !in_corner(other))
+        f.fail_link(n, p);
+    }
+  const auto dests = all_nodes(m);
+  const DenseUpDownOracle oracle(f, dests);
+  UpDownTable table;
+  EXPECT_EQ(table.rebuild(f), oracle.exchanges());
+  expect_matches_oracle(table, oracle, m, dests, "partitioned 8x8 mesh");
+}
+
+TEST(UpDownOracle, Mesh64SampledRowsMatchDenseBfs) {
+  Mesh m = Mesh::two_d(64, 64);
+  FaultSet f(m);
+  Rng rng(64);
+  ASSERT_EQ(inject_random_link_faults(f, 1, rng), 1);
+  std::vector<NodeId> dests;
+  for (int i = 0; i < 256; ++i)
+    dests.push_back(static_cast<NodeId>(
+        rng.next_below(static_cast<std::uint64_t>(m.num_nodes()))));
+  std::sort(dests.begin(), dests.end());
+  dests.erase(std::unique(dests.begin(), dests.end()), dests.end());
+  const DenseUpDownOracle oracle(f, dests);
+  UpDownTable table;
+  EXPECT_EQ(table.rebuild(f), oracle.exchanges());
+  expect_matches_oracle(table, oracle, m, dests, "64x64 mesh, one dead link");
+}
+
+TEST(UpDown, RebuildAfterKillAndRepairEqualsFreshBuild) {
+  Torus t = Torus::two_d(8, 8);
+  FaultSet f(t);
+  UpDownTable reused;
+  reused.rebuild(f);
+  f.fail_link(t.num_nodes() / 2, 0);
+  f.fail_node(9);
+  reused.rebuild(f);
+  f.repair_link(t.num_nodes() / 2, 0);
+  f.repair_node(9);
+  const int exchanges = reused.rebuild(f);
+  UpDownTable fresh;
+  EXPECT_EQ(fresh.rebuild(f), exchanges);
+  for (NodeId dest = 0; dest < t.num_nodes(); ++dest)
+    for (NodeId node = 0; node < t.num_nodes(); ++node)
+      for (const auto phase :
+           {UpDownTable::Phase::Up, UpDownTable::Phase::Down}) {
+        ASSERT_EQ(reused.distance(node, dest, phase),
+                  fresh.distance(node, dest, phase));
+        ASSERT_EQ(as_vector(reused.next_hops(node, dest, phase)),
+                  as_vector(fresh.next_hops(node, dest, phase)));
+      }
+}
+
+TEST(UpDown, OversizedFabricIsAContractError) {
+  // 182 x 181 = 32942 nodes: 2 * N no longer fits below the 16-bit
+  // distance sentinel, so the rebuild must refuse before allocating.
+  Mesh m = Mesh::two_d(182, 181);
+  FaultSet f(m);
+  UpDownTable table;
+  EXPECT_THROW(table.rebuild(f), ContractViolation);
+  EXPECT_FALSE(table.ready());
+}
+
 // ------------------------------------------------------------ spanning tree
 TEST(SpanningTreeAlgo, UsesOnlyTreeLinks) {
   Mesh m = Mesh::two_d(5, 5);
@@ -241,6 +511,76 @@ TEST(SpanningTreeAlgo, SurvivesFaultsViaRecompute) {
   EXPECT_GT(exchanges, 0);
   const CdgReport rep = check_full_cdg(m, f, st);
   EXPECT_TRUE(rep.acyclic) << rep.to_string();
+}
+
+// The N x N next-hop table SpanningTreeRouting used to keep, rebuilt here
+// as an oracle: a per-destination BFS over tree edges. Tree paths are
+// unique, so route() must name exactly this port.
+std::vector<PortId> dense_tree_next_hops(const Topology& topo,
+                                         const SpanningTree& tree) {
+  const NodeId n = topo.num_nodes();
+  const auto un = static_cast<std::size_t>(n);
+  std::vector<PortId> next_hop(un * un, kInvalidPort);
+  std::vector<std::vector<std::pair<NodeId, PortId>>> adj(un);
+  for (NodeId v = 0; v < n; ++v) {
+    const NodeId parent = tree.parent[static_cast<std::size_t>(v)];
+    if (parent == kInvalidNode) continue;
+    const PortId up = tree.parent_port[static_cast<std::size_t>(v)];
+    adj[static_cast<std::size_t>(v)].emplace_back(parent, up);
+    adj[static_cast<std::size_t>(parent)].emplace_back(
+        v, topo.reverse_port(v, up));
+  }
+  for (NodeId dest = 0; dest < n; ++dest) {
+    if (!tree.reaches(dest)) continue;
+    std::deque<NodeId> queue{dest};
+    std::vector<char> seen(un, 0);
+    seen[static_cast<std::size_t>(dest)] = 1;
+    while (!queue.empty()) {
+      const NodeId v = queue.front();
+      queue.pop_front();
+      for (const auto& [u, port_from_v] : adj[static_cast<std::size_t>(v)]) {
+        if (seen[static_cast<std::size_t>(u)]) continue;
+        seen[static_cast<std::size_t>(u)] = 1;
+        next_hop[static_cast<std::size_t>(u) * un +
+                 static_cast<std::size_t>(dest)] =
+            topo.reverse_port(v, port_from_v);
+        queue.push_back(u);
+      }
+    }
+  }
+  return next_hop;
+}
+
+TEST(SpanningTreeAlgo, MatchesDenseTableUnderFaults) {
+  for (int trial = 0; trial < 8; ++trial) {
+    Mesh m = Mesh::two_d(6, 6);
+    FaultSet f(m);
+    Rng rng(700 + static_cast<std::uint64_t>(trial));
+    // Odd trials may disconnect the mesh, so unreachable pairs are covered.
+    const bool keep_connected = trial % 2 == 0;
+    inject_random_link_faults(f, 2 + trial, rng, keep_connected);
+    inject_random_node_faults(f, trial / 2, rng, keep_connected);
+    SpanningTreeRouting st(2);
+    st.attach(m, f);
+    const auto dense = dense_tree_next_hops(m, st.tree());
+    for (NodeId s = 0; s < m.num_nodes(); ++s)
+      for (NodeId t = 0; t < m.num_nodes(); ++t) {
+        if (s == t) continue;
+        const PortId want =
+            dense[static_cast<std::size_t>(s) *
+                      static_cast<std::size_t>(m.num_nodes()) +
+                  static_cast<std::size_t>(t)];
+        const auto d = st.route(ctx_of(s, t));
+        if (want == kInvalidPort) {
+          EXPECT_TRUE(d.candidates.empty()) << "trial " << trial;
+          continue;
+        }
+        ASSERT_EQ(d.candidates.size(), 2u) << "trial " << trial;
+        for (const RouteCandidate& c : d.candidates)
+          EXPECT_EQ(c.port, want)
+              << "trial " << trial << ": " << s << " -> " << t;
+      }
+  }
 }
 
 // -------------------------------------------------------------------- NAFTA
