@@ -52,9 +52,13 @@
 //
 // Rule-engine keys (need a *-rules algorithm; contract error otherwise):
 //   exec_mode  = interp | vm | aot             (decision backend; default
-//                                               aot, the pre-resolved table;
-//                                               the summary line reports the
-//                                               AOT tier actually chosen —
+//                                               aot, the pre-resolved table
+//                                               and the only decision memo;
+//                                               interp and vm run the
+//                                               interpreter / bytecode VM on
+//                                               every decision. The summary
+//                                               line reports the AOT tier
+//                                               actually chosen —
 //                                               direct/compressed/lazy — or
 //                                               why the VM kept serving)
 //   swap_rules_at = 2000,new_rules.txt         (live hot-swap: at the cycle,
@@ -75,8 +79,15 @@
 // per-point seeds derived from (seed, point index), results identical at
 // any thread count. A single rate keeps the historical behaviour (the
 // configured seed drives the one replica directly).
+//
+// Exit codes: 0 on success, 1 when any point suspects deadlock, 2 on a
+// config error — an unknown key, a malformed value or an inconsistent
+// combination, reported as `config error: ...` naming the key — or on a
+// simulation error.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "common/config.hpp"
@@ -94,6 +105,30 @@ using namespace flexrouter;
 
 namespace {
 
+/// Every key flexsim reads. Any other key is a typo (or belongs to another
+/// tool) and is a config error rather than silently ignored.
+constexpr const char* kKnownKeys[] = {
+    "topology",     "width",         "height",        "dimension",
+    "algorithm",    "traffic",       "rate",          "rates",
+    "threads",      "packet_length", "warmup",        "measure",
+    "link_faults",  "node_faults",   "seed",          "show_links",
+    "shards",       "shard_threads", "fault_at",      "repair_after",
+    "flap",         "failslow",      "fault_regime",  "detection_delay",
+    "max_retries",  "exec_mode",     "swap_rules_at", "swap_policy",
+    "rolling_shards",
+};
+
+/// One int-sized field of a structured value (`fault_at`, `flap`,
+/// `failslow`): a node id, port or factor.
+int int_field(const std::string& key, const std::string& tok) {
+  const std::int64_t v = Config::parse_int(key, tok);
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max())
+    throw std::invalid_argument("config key '" + key + "': " + tok +
+                                " is out of range");
+  return static_cast<int>(v);
+}
+
 std::vector<double> parse_rates(const Config& cfg) {
   std::vector<double> rates;
   const std::string list = cfg.get_string("rates", "");
@@ -102,7 +137,7 @@ std::vector<double> parse_rates(const Config& cfg) {
     std::string tok;
     while (std::getline(is, tok, ',')) {
       if (tok.empty()) continue;
-      rates.push_back(std::stod(tok));
+      rates.push_back(Config::parse_double("rates", tok));
     }
   }
   if (rates.empty()) rates.push_back(cfg.get_double("rate", 0.10));
@@ -110,8 +145,8 @@ std::vector<double> parse_rates(const Config& cfg) {
 }
 
 /// Parse `fault_at = <cycle>:link:<node>:<port>,<cycle>:node:<id>,...`
-/// into a FaultSchedule. Throws std::invalid_argument on malformed entries
-/// (caught by the config error handler in main).
+/// into a FaultSchedule. Throws on malformed entries (caught by the config
+/// error handler in main).
 FaultSchedule parse_fault_schedule(const std::string& spec) {
   FaultSchedule schedule;
   std::istringstream is(spec);
@@ -123,12 +158,13 @@ FaultSchedule parse_fault_schedule(const std::string& spec) {
     std::getline(fields, cycle_s, ':');
     std::getline(fields, kind, ':');
     std::getline(fields, a, ':');
-    const Cycle at = std::stoll(cycle_s);
+    const Cycle at = Config::parse_int("fault_at", cycle_s);
     if (kind == "link") {
       std::getline(fields, b, ':');
-      schedule.fail_link_at(at, std::stoi(a), std::stoi(b));
+      schedule.fail_link_at(at, int_field("fault_at", a),
+                            int_field("fault_at", b));
     } else if (kind == "node") {
-      schedule.fail_node_at(at, std::stoi(a));
+      schedule.fail_node_at(at, int_field("fault_at", a));
     } else {
       throw std::invalid_argument("fault_at entry '" + entry +
                                   "': kind must be 'link' or 'node'");
@@ -164,9 +200,12 @@ void parse_flap(FaultSchedule& schedule, const std::string& spec,
         "flap must be <node>:<port>:<first_down>:<down_mean>:<up_mean> "
         "(got '" +
         spec + "')");
-  schedule.add_flapping_link(std::stoi(node_s), std::stoi(port_s),
-                             std::stoll(first_s), horizon, std::stod(down_s),
-                             std::stod(up_s), seed ^ 0xf1a9ULL);
+  schedule.add_flapping_link(int_field("flap", node_s),
+                             int_field("flap", port_s),
+                             Config::parse_int("flap", first_s), horizon,
+                             Config::parse_double("flap", down_s),
+                             Config::parse_double("flap", up_s),
+                             seed ^ 0xf1a9ULL);
 }
 
 /// `failslow = <cycle>:<node>:<port>:<factor>,...` — throttle links to one
@@ -185,13 +224,14 @@ void parse_failslow(FaultSchedule& schedule, const std::string& spec) {
           std::getline(fields, factor_s)))
       throw std::invalid_argument("failslow entry '" + entry +
                                   "' must be <cycle>:<node>:<port>:<factor>");
-    const int factor = std::stoi(factor_s);
+    const int factor = int_field("failslow", factor_s);
     if (factor < 2)
       throw std::invalid_argument(
           "failslow entry '" + entry +
           "': factor must be >= 2 (a fail-slow link still moves flits)");
-    schedule.degrade_link_at(std::stoll(cycle_s), std::stoi(node_s),
-                             std::stoi(port_s), factor);
+    schedule.degrade_link_at(Config::parse_int("failslow", cycle_s),
+                             int_field("failslow", node_s),
+                             int_field("failslow", port_s), factor);
   }
 }
 
@@ -327,98 +367,111 @@ std::unique_ptr<RoutingAlgorithm> build_algorithm(const std::string& aname,
   return make_algorithm(aname);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// Everything the config phase derives from the command line. Building it
+/// throws on any config error; main() reports them all in one place.
+struct RunSpec {
   Config cfg;
-  try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      cfg = cfg.overridden_by(arg.find('=') != std::string::npos
-                                  ? Config::parse(arg)
-                                  : Config::from_file(arg));
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "config error: " << e.what() << "\n";
-    return 2;
+  std::unique_ptr<Topology> topo;
+  std::string tname;
+  std::string aname;
+  std::string exec_mode_s;  // as given ("" = default aot)
+  rules::ExecMode exec_mode = rules::ExecMode::Aot;
+  std::string pattern;
+  Cycle swap_at = 0;
+  std::string swap_source;
+  Simulator::RuleSwapPolicy swap_policy = Simulator::RuleSwapPolicy::Auto;
+  int link_faults = 0;
+  int node_faults = 0;
+  std::uint64_t seed = 1;
+  std::vector<double> rates;
+  int threads = 0;
+  bool show_links = false;
+  SimConfig base;
+  NetworkConfig ncfg;
+  FaultSchedule schedule;
+};
+
+RunSpec read_config(int argc, char** argv) {
+  RunSpec spec;
+  Config& cfg = spec.cfg;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    cfg = cfg.overridden_by(arg.find('=') != std::string::npos
+                                ? Config::parse(arg)
+                                : Config::from_file(arg));
   }
+  for (const std::string& key : cfg.keys())
+    if (std::find(std::begin(kKnownKeys), std::end(kKnownKeys), key) ==
+        std::end(kKnownKeys))
+      throw std::invalid_argument("unknown config key '" + key + "'");
 
   // Topology (shared by every replica — it is immutable).
-  std::unique_ptr<Topology> topo;
-  const std::string tname = cfg.get_string("topology", "mesh");
-  if (tname == "mesh") {
-    topo = std::make_unique<Mesh>(std::vector<int>{
+  spec.tname = cfg.get_string("topology", "mesh");
+  if (spec.tname == "mesh") {
+    spec.topo = std::make_unique<Mesh>(std::vector<int>{
         static_cast<int>(cfg.get_int("width", 8)),
         static_cast<int>(cfg.get_int("height", 8))});
-  } else if (tname == "torus") {
-    topo = std::make_unique<Torus>(std::vector<int>{
+  } else if (spec.tname == "torus") {
+    spec.topo = std::make_unique<Torus>(std::vector<int>{
         static_cast<int>(cfg.get_int("width", 8)),
         static_cast<int>(cfg.get_int("height", 8))});
-  } else if (tname == "hypercube") {
-    topo = std::make_unique<Hypercube>(
+  } else if (spec.tname == "hypercube") {
+    spec.topo = std::make_unique<Hypercube>(
         static_cast<int>(cfg.get_int("dimension", 4)));
   } else {
-    std::cerr << "unknown topology '" << tname << "'\n";
-    return 2;
+    throw std::invalid_argument("unknown topology '" + spec.tname + "'");
   }
 
-  const std::string aname = cfg.get_string("algorithm", "nafta");
+  spec.aname = cfg.get_string("algorithm", "nafta");
 
   // Rule-engine keys: both are contracts on the algorithm choice — a
   // decision backend or a live program swap only mean something when the
   // router is executing rules.
-  const std::string exec_mode_s = cfg.get_string("exec_mode", "");
+  spec.exec_mode_s = cfg.get_string("exec_mode", "");
   const std::string swap_spec = cfg.get_string("swap_rules_at", "");
-  if ((!exec_mode_s.empty() || !swap_spec.empty()) &&
-      !rule_driven_name(aname)) {
-    std::cerr << "config error: "
-              << (!exec_mode_s.empty() ? "exec_mode" : "swap_rules_at")
-              << " needs a rule-driven algorithm (nara-rules, ft-mesh-rules "
-                 "or ecube-rules); algorithm = '"
-              << aname << "' executes no rules\n";
-    return 2;
+  if ((!spec.exec_mode_s.empty() || !swap_spec.empty()) &&
+      !rule_driven_name(spec.aname))
+    throw std::invalid_argument(
+        std::string(!spec.exec_mode_s.empty() ? "exec_mode"
+                                              : "swap_rules_at") +
+        " needs a rule-driven algorithm (nara-rules, ft-mesh-rules or "
+        "ecube-rules); algorithm = '" +
+        spec.aname + "' executes no rules");
+  if (!spec.exec_mode_s.empty())
+    spec.exec_mode = parse_exec_mode(spec.exec_mode_s);
+  const std::string policy_s = cfg.get_string("swap_policy", "");
+  if (!policy_s.empty()) {
+    if (swap_spec.empty())
+      throw std::invalid_argument(
+          "swap_policy needs a scheduled swap (swap_rules_at)");
+    spec.swap_policy = parse_swap_policy(policy_s);
   }
-  rules::ExecMode exec_mode = rules::ExecMode::Aot;
-  Cycle swap_at = 0;
-  std::string swap_source;
-  auto swap_policy = Simulator::RuleSwapPolicy::Auto;
-  try {
-    if (!exec_mode_s.empty()) exec_mode = parse_exec_mode(exec_mode_s);
-    const std::string policy_s = cfg.get_string("swap_policy", "");
-    if (!policy_s.empty()) {
-      if (swap_spec.empty())
-        throw std::invalid_argument(
-            "swap_policy needs a scheduled swap (swap_rules_at)");
-      swap_policy = parse_swap_policy(policy_s);
-    }
-    if (!swap_spec.empty()) {
-      const std::size_t comma = swap_spec.find(',');
-      if (comma == std::string::npos)
-        throw std::invalid_argument(
-            "swap_rules_at must be <cycle>,<file> (got '" + swap_spec + "')");
-      swap_at = std::stoll(swap_spec.substr(0, comma));
-      const std::string path = swap_spec.substr(comma + 1);
-      std::ifstream in(path);
-      if (!in)
-        throw std::invalid_argument("swap_rules_at: cannot read rule file '" +
-                                    path + "'");
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      swap_source = buf.str();
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "config error: " << e.what() << "\n";
-    return 2;
+  if (!swap_spec.empty()) {
+    const std::size_t comma = swap_spec.find(',');
+    if (comma == std::string::npos)
+      throw std::invalid_argument(
+          "swap_rules_at must be <cycle>,<file> (got '" + swap_spec + "')");
+    spec.swap_at =
+        Config::parse_int("swap_rules_at", swap_spec.substr(0, comma));
+    const std::string path = swap_spec.substr(comma + 1);
+    std::ifstream in(path);
+    if (!in)
+      throw std::invalid_argument("swap_rules_at: cannot read rule file '" +
+                                  path + "'");
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    spec.swap_source = buf.str();
   }
 
-  const std::string pattern = cfg.get_string("traffic", "uniform");
-  const auto link_faults = static_cast<int>(cfg.get_int("link_faults", 0));
-  const auto node_faults = static_cast<int>(cfg.get_int("node_faults", 0));
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
-  const std::vector<double> rates = parse_rates(cfg);
-  const bool single = rates.size() == 1;
+  spec.pattern = cfg.get_string("traffic", "uniform");
+  spec.link_faults = static_cast<int>(cfg.get_int("link_faults", 0));
+  spec.node_faults = static_cast<int>(cfg.get_int("node_faults", 0));
+  spec.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
+  spec.rates = parse_rates(cfg);
+  spec.threads = static_cast<int>(cfg.get_int("threads", 0));
+  spec.show_links = cfg.get_bool("show_links", false);
 
-  SimConfig base;
+  SimConfig& base = spec.base;
   base.packet_length = static_cast<int>(cfg.get_int("packet_length", 4));
   base.warmup_cycles = cfg.get_int("warmup", 1000);
   base.measure_cycles = cfg.get_int("measure", 2000);
@@ -426,40 +479,55 @@ int main(int argc, char** argv) {
   base.max_retries = static_cast<int>(cfg.get_int("max_retries", 3));
   base.rolling_shards = static_cast<int>(cfg.get_int("rolling_shards", 8));
 
-  NetworkConfig ncfg;
-  ncfg.shards = static_cast<int>(cfg.get_int("shards", 1));
-  ncfg.shard_threads = static_cast<int>(cfg.get_int("shard_threads", 0));
+  spec.ncfg.shards = static_cast<int>(cfg.get_int("shards", 1));
+  spec.ncfg.shard_threads = static_cast<int>(cfg.get_int("shard_threads", 0));
 
-  FaultSchedule schedule;
+  FaultSchedule& schedule = spec.schedule;
+  schedule = parse_fault_schedule(cfg.get_string("fault_at", ""));
+  const std::string regime = cfg.get_string("fault_regime", "");
+  if (!regime.empty()) {
+    if (!schedule.empty())
+      throw std::invalid_argument(
+          "fault_regime generates its own schedule and conflicts with "
+          "fault_at — pick one");
+    schedule = build_regime_schedule(regime, *spec.topo, base.warmup_cycles,
+                                     base.measure_cycles, spec.seed);
+  }
+  const Cycle repair_after = cfg.get_int("repair_after", 0);
+  if (repair_after < 0)
+    throw std::invalid_argument("repair_after must be >= 0");
+  if (repair_after > 0) {
+    if (cfg.get_string("fault_at", "").empty())
+      throw std::invalid_argument(
+          "repair_after needs fault_at kill events to repair");
+    append_repairs(schedule, repair_after);
+  }
+  const std::string flap_spec = cfg.get_string("flap", "");
+  if (!flap_spec.empty())
+    parse_flap(schedule, flap_spec, base.warmup_cycles + base.measure_cycles,
+               spec.seed);
+  parse_failslow(schedule, cfg.get_string("failslow", ""));
+
+  // Build one algorithm and traffic generator up front: an unknown name or
+  // a topology mismatch is a config error, not a failed run.
+  build_algorithm(spec.aname, spec.tname, cfg, spec.exec_mode, *spec.topo);
+  make_traffic(spec.pattern, *spec.topo, spec.seed);
+  return spec;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  RunSpec spec;
   try {
-    schedule = parse_fault_schedule(cfg.get_string("fault_at", ""));
-    const std::string regime = cfg.get_string("fault_regime", "");
-    if (!regime.empty()) {
-      if (!schedule.empty())
-        throw std::invalid_argument(
-            "fault_regime generates its own schedule and conflicts with "
-            "fault_at — pick one");
-      schedule = build_regime_schedule(regime, *topo, base.warmup_cycles,
-                                       base.measure_cycles, seed);
-    }
-    const Cycle repair_after = cfg.get_int("repair_after", 0);
-    if (repair_after < 0)
-      throw std::invalid_argument("repair_after must be >= 0");
-    if (repair_after > 0) {
-      if (cfg.get_string("fault_at", "").empty())
-        throw std::invalid_argument(
-            "repair_after needs fault_at kill events to repair");
-      append_repairs(schedule, repair_after);
-    }
-    const std::string flap_spec = cfg.get_string("flap", "");
-    if (!flap_spec.empty())
-      parse_flap(schedule, flap_spec,
-                 base.warmup_cycles + base.measure_cycles, seed);
-    parse_failslow(schedule, cfg.get_string("failslow", ""));
+    spec = read_config(argc, argv);
   } catch (const std::exception& e) {
     std::cerr << "config error: " << e.what() << "\n";
     return 2;
   }
+  const Topology& topo = *spec.topo;
+  const std::vector<double>& rates = spec.rates;
+  const bool single = rates.size() == 1;
 
   // One grid point per offered load. Each replica applies the SAME fault
   // pattern (the fault RNG restarts per point) so the series varies only
@@ -474,30 +542,32 @@ int main(int argc, char** argv) {
     const double rate = rates[i];
     const bool first_point = i == 0;
     points.push_back({[&, i, rate, first_point](std::uint64_t derived_seed) {
-      auto algo = build_algorithm(aname, tname, cfg, exec_mode, *topo);
-      auto traffic = make_traffic(pattern, *topo, seed);
-      Network net(*topo, *algo, ncfg);
-      if (link_faults > 0 || node_faults > 0) {
-        Rng frng(seed ^ 0xfa017ULL);
+      auto algo = build_algorithm(spec.aname, spec.tname, spec.cfg,
+                                  spec.exec_mode, topo);
+      auto traffic = make_traffic(spec.pattern, topo, spec.seed);
+      Network net(topo, *algo, spec.ncfg);
+      if (spec.link_faults > 0 || spec.node_faults > 0) {
+        Rng frng(spec.seed ^ 0xfa017ULL);
         const int ex = net.apply_faults([&](FaultSet& f) {
-          inject_random_node_faults(f, node_faults, frng);
-          inject_random_link_faults(f, link_faults, frng);
+          inject_random_node_faults(f, spec.node_faults, frng);
+          inject_random_link_faults(f, spec.link_faults, frng);
         });
         if (first_point) exchanges = ex;  // identical on every point
       }
       if (first_point)
         if (const auto* rd = dynamic_cast<const RuleDrivenRouting*>(algo.get()))
           tier_report = tier_summary(*rd);
-      SimConfig scfg = base;
+      SimConfig scfg = spec.base;
       scfg.injection_rate = rate;
-      scfg.seed = single ? seed : derived_seed;
+      scfg.seed = single ? spec.seed : derived_seed;
       Simulator sim(net, *traffic, scfg);
-      if (!schedule.empty()) sim.set_fault_schedule(schedule);
-      if (!swap_source.empty())
-        sim.schedule_rule_swap(swap_at, swap_source, swap_policy);
+      if (!spec.schedule.empty()) sim.set_fault_schedule(spec.schedule);
+      if (!spec.swap_source.empty())
+        sim.schedule_rule_swap(spec.swap_at, spec.swap_source,
+                               spec.swap_policy);
       SimResult r = sim.run();
       skipped[i] = sim.idle_cycles_skipped();
-      if (single && cfg.get_bool("show_links", false)) {
+      if (single && spec.show_links) {
         std::ostringstream os;
         os << "hottest links (flits/cycle):\n";
         const auto loads = net.link_utilization(sim.now());
@@ -512,9 +582,8 @@ int main(int argc, char** argv) {
   }
 
   SweepOptions sopts;
-  sopts.num_threads =
-      single ? 1 : static_cast<int>(cfg.get_int("threads", 0));
-  sopts.base_seed = seed;
+  sopts.num_threads = single ? 1 : spec.threads;
+  sopts.base_seed = spec.seed;
   SweepRunner runner(sopts);
 
   std::vector<SimResult> results;
@@ -525,21 +594,22 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::cout << "flexsim: " << topo->name() << ", " << aname << ", " << pattern
-            << " traffic";
-  if (link_faults > 0 || node_faults > 0)
-    std::cout << ", " << link_faults << " link + " << node_faults
+  std::cout << "flexsim: " << topo.name() << ", " << spec.aname << ", "
+            << spec.pattern << " traffic";
+  if (spec.link_faults > 0 || spec.node_faults > 0)
+    std::cout << ", " << spec.link_faults << " link + " << spec.node_faults
               << " node faults (reconfiguration: " << exchanges
               << " exchanges)";
-  if (ncfg.shards > 1) std::cout << ", " << ncfg.shards << " shards";
+  if (spec.ncfg.shards > 1) std::cout << ", " << spec.ncfg.shards << " shards";
   Cycle total_skipped = 0;
   for (const Cycle c : skipped) total_skipped += c;
   std::cout << ", " << total_skipped << " inert cycles skipped";
-  if (rule_driven_name(aname))
-    std::cout << ", exec " << (exec_mode_s.empty() ? "aot" : exec_mode_s)
+  if (rule_driven_name(spec.aname))
+    std::cout << ", exec "
+              << (spec.exec_mode_s.empty() ? "aot" : spec.exec_mode_s)
               << tier_report;
-  if (!swap_source.empty()) {
-    std::cout << ", rule swap at cycle " << swap_at << " ("
+  if (!spec.swap_source.empty()) {
+    std::cout << ", rule swap at cycle " << spec.swap_at << " ("
               << results[0].rule_swaps << " committed, "
               << results[0].swap_gated_cycles << " gated cycles";
     if (results[0].swap_gated_node_cycles > 0)

@@ -85,27 +85,42 @@ std::string Config::get_string(const std::string& key,
   return raw(key).value_or(fallback);
 }
 
+std::int64_t Config::parse_int(const std::string& key,
+                               const std::string& token) {
+  std::size_t used = 0;
+  std::int64_t v = 0;
+  try {
+    v = std::stoll(token, &used);
+  } catch (...) {
+    used = 0;
+  }
+  FR_REQUIRE_MSG(used != 0 && used == token.size(),
+                 "config key '" + key + "' is not an int: " + token);
+  return v;
+}
+
+double Config::parse_double(const std::string& key, const std::string& token) {
+  std::size_t used = 0;
+  double v = 0.0;
+  try {
+    v = std::stod(token, &used);
+  } catch (...) {
+    used = 0;
+  }
+  FR_REQUIRE_MSG(used != 0 && used == token.size(),
+                 "config key '" + key + "' is not a double: " + token);
+  return v;
+}
+
 std::int64_t Config::get_int(const std::string& key,
                              std::int64_t fallback) const {
   const auto v = raw(key);
-  if (!v) return fallback;
-  try {
-    return std::stoll(*v);
-  } catch (...) {
-    FR_REQUIRE_MSG(false, "config key '" + key + "' is not an int: " + *v);
-  }
-  return fallback;
+  return v ? parse_int(key, *v) : fallback;
 }
 
 double Config::get_double(const std::string& key, double fallback) const {
   const auto v = raw(key);
-  if (!v) return fallback;
-  try {
-    return std::stod(*v);
-  } catch (...) {
-    FR_REQUIRE_MSG(false, "config key '" + key + "' is not a double: " + *v);
-  }
-  return fallback;
+  return v ? parse_double(key, *v) : fallback;
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {
@@ -143,12 +158,7 @@ std::vector<std::int64_t> Config::get_int_list(
   while (std::getline(in, item, ',')) {
     item = trim(item);
     if (item.empty()) continue;
-    try {
-      out.push_back(std::stoll(item));
-    } catch (...) {
-      FR_REQUIRE_MSG(false,
-                     "config key '" + key + "' has non-int element: " + item);
-    }
+    out.push_back(parse_int(key, item));
   }
   return out;
 }

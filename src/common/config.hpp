@@ -33,6 +33,14 @@ class Config {
   std::int64_t require_int(const std::string& key) const;
   double require_double(const std::string& key) const;
 
+  /// Parse one number from `key`'s value: the whole token must parse ("3x"
+  /// is malformed, not 3). Throws ContractViolation naming the key. The
+  /// typed accessors use these; callers parsing structured values (lists,
+  /// `a:b:c` fields) use them for each field.
+  static std::int64_t parse_int(const std::string& key,
+                                const std::string& token);
+  static double parse_double(const std::string& key, const std::string& token);
+
   /// Comma-separated integer list, e.g. `faults = 0,1,2,4`.
   std::vector<std::int64_t> get_int_list(
       const std::string& key, const std::vector<std::int64_t>& fallback) const;

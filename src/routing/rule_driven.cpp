@@ -18,9 +18,9 @@ namespace {
 /// Inputs a tabulated decision may depend on: fully determined by the
 /// premise point (dest, in_port, in_vc), the node, the topology and the
 /// fault epoch. Notably absent: src, path_len, misrouted — they vary per
-/// packet without being part of the premise. The decision cache and the
-/// AOT table share this soundness condition.
-bool cache_safe_input(const std::string& name) {
+/// packet without being part of the premise. Every AOT table tier shares
+/// this soundness condition.
+bool premise_keyed_input(const std::string& name) {
   static const char* safe[] = {
       "dest",       "dest_reachable", "escape_ok", "escape_port",
       "in_port",    "in_vc",          "injected",  "link_ok",
@@ -77,8 +77,8 @@ std::unique_ptr<RuleDrivenRouting::Image> RuleDrivenRouting::build_image(
                      "'");
   im->route_rb = static_cast<int>(route_rb - im->program->rule_bases.data());
 
-  // Resolve every declared input against the host catalog once; unresolved
-  // names keep erroring at read time, exactly like the name-keyed path.
+  // Resolve every declared input against the host catalog once; an input
+  // the catalog does not serve (Unknown) errors at read time, naming it.
   const bool is_mesh2d = mesh_ != nullptr && mesh_->dims() == 2;
   im->input_codes.reserve(im->program->inputs.size());
   for (const rules::InputDecl& in : im->program->inputs) {
@@ -119,6 +119,7 @@ std::unique_ptr<RuleDrivenRouting::Image> RuleDrivenRouting::build_image(
     DecisionSlot* slot = &im->slots[static_cast<std::size_t>(n)];
     slot->owner = this;
     slot->input_codes = im->input_codes.data();
+    slot->inputs = im->program->inputs.data();
     slot->cand_event_id = im->cand_event_id;
     slot->cand_handler = [slot](const rules::EmittedEvent& ev) {
       const bool is_cand = ev.name_id >= 0
@@ -138,29 +139,32 @@ std::unique_ptr<RuleDrivenRouting::Image> RuleDrivenRouting::build_image(
     auto em = std::make_unique<rules::EventManager>(
         *im->program, mode_, rules::CompileOptions{}, im->bytecode);
     // The input providers close over the node's slot; the active context is
-    // installed there per decision.
+    // installed there per decision. The name-keyed provider (Interpret and
+    // Table modes) resolves the name among the declared inputs and then
+    // reads the same catalog as the VM's raw provider.
+    const rules::Program* prog = im->program.get();
     em->set_input_provider(
-        [slot](const std::string& input, const std::vector<Value>& idx) {
-          FR_REQUIRE_MSG(slot->ctx != nullptr,
-                         "rule program read an input outside a decision");
-          return slot->owner->input_value(*slot->ctx, input, idx);
+        [slot, prog](const std::string& input, const std::vector<Value>& idx) {
+          const rules::InputDecl* decl = prog->find_input(input);
+          FR_REQUIRE_MSG(decl != nullptr,
+                         "rule program input '" + input + "' is not declared");
+          const auto id = static_cast<std::int32_t>(decl - prog->inputs.data());
+          return input_raw(slot, id, idx.data(), idx.size());
         });
     em->set_input_provider_raw(&RuleDrivenRouting::input_raw, slot);
     im->machines.push_back(std::move(em));
   }
 
-  // Tabulation (decision cache / AOT table) is sound only if no reachable
-  // rule writes registers and every input read is covered by the premise
-  // point + fault epoch.
+  // Tabulation (the AOT tiers) is sound only if no reachable rule writes
+  // registers and every input read is covered by the premise point + fault
+  // epoch.
   const rules::RouteAnalysis analysis =
       rules::analyze_reachable(*im->program, route_base_);
   im->stateless = !analysis.writes_state;
   im->tabulable =
       im->stateless &&
       std::all_of(analysis.inputs_read.begin(), analysis.inputs_read.end(),
-                  cache_safe_input);
-  im->cache_enabled = has_vm && im->tabulable;
-  im->caches.assign(static_cast<std::size_t>(topo_->num_nodes()), NodeCache{});
+                  premise_keyed_input);
   // Dest-axis classification (syntactic; fill_aot applies host gates). The
   // verdict rides on the image so rulelint / flexsim can explain the tier.
   im->classify = rules::classify_dest_axis(*im->program, route_base_);
@@ -709,10 +713,9 @@ void RuleDrivenRouting::finish_rolling_commit() {
 rules::EventManager& RuleDrivenRouting::machine(NodeId n) const {
   FR_REQUIRE(topo_ != nullptr && topo_->valid_node(n));
   // Handing out a machine lets the caller mutate rule state behind the
-  // table's back (the decision cache guards against that with per-lookup
-  // env-version tags; the AOT path deliberately carries no per-decision
-  // check). Drop the table conservatively: decisions fall back to the
-  // VM/cache tiers until the next fill (reconfigure or swap) rebuilds it.
+  // table's back (the AOT path deliberately carries no per-decision check).
+  // Drop the table conservatively: the VM answers every decision until the
+  // next fill (reconfigure or swap) rebuilds it from the current registers.
   if (img_ != nullptr &&
       (!img_->aot.empty() || (img_->lazy != nullptr && img_->lazy_active))) {
     img_->aot.clear();
@@ -720,29 +723,6 @@ rules::EventManager& RuleDrivenRouting::machine(NodeId n) const {
     refresh_aot_view();
   }
   return *img_->machines[static_cast<std::size_t>(n)];
-}
-
-std::int64_t RuleDrivenRouting::decision_cache_hits() const {
-  if (img_ == nullptr) return 0;
-  std::int64_t sum = 0;
-  for (const DecisionSlot& s : img_->slots) sum += s.cache_hits;
-  return sum;
-}
-
-std::int64_t RuleDrivenRouting::decision_cache_misses() const {
-  if (img_ == nullptr) return 0;
-  std::int64_t sum = 0;
-  for (const DecisionSlot& s : img_->slots) sum += s.cache_misses;
-  return sum;
-}
-
-void RuleDrivenRouting::clear_decision_cache() const {
-  if (img_ == nullptr) return;
-  for (NodeCache& nc : img_->caches) {
-    nc.entries.clear();
-    nc.epoch_tag = ~std::uint64_t{0};
-    nc.env_tag = ~std::uint64_t{0};
-  }
 }
 
 rules::AotTable::Stats RuleDrivenRouting::aot_stats() const {
@@ -791,7 +771,8 @@ RuleDrivenRouting::AotTierInfo RuleDrivenRouting::aot_tier_info() const {
   return info;
 }
 
-Value RuleDrivenRouting::input_by_code(InCode code, const RouteContext& ctx,
+Value RuleDrivenRouting::input_by_code(InCode code, const std::string& name,
+                                       const RouteContext& ctx,
                                        const Value* idx,
                                        std::size_t nidx) const {
   switch (code) {
@@ -836,7 +817,8 @@ Value RuleDrivenRouting::input_by_code(InCode code, const RouteContext& ctx,
     case InCode::YDes: return Value::make_int(mesh_->y_of(ctx.dest));
     case InCode::Unknown: break;
   }
-  FR_REQUIRE_MSG(false, "rule program input is not in the host catalog");
+  FR_REQUIRE_MSG(false,
+                 "rule program input '" + name + "' is not in the host catalog");
   return Value::make_int(0);
 }
 
@@ -845,9 +827,9 @@ Value RuleDrivenRouting::input_raw(void* ctx, std::int32_t input_id,
   const auto* slot = static_cast<const DecisionSlot*>(ctx);
   FR_REQUIRE_MSG(slot->ctx != nullptr,
                  "rule program read an input outside a decision");
-  return slot->owner->input_by_code(
-      slot->input_codes[static_cast<std::size_t>(input_id)], *slot->ctx, idx,
-      nidx);
+  const auto i = static_cast<std::size_t>(input_id);
+  return slot->owner->input_by_code(slot->input_codes[i], slot->inputs[i].name,
+                                    *slot->ctx, idx, nidx);
 }
 
 void RuleDrivenRouting::event_sink(void* ctx, std::int32_t name_id,
@@ -873,54 +855,6 @@ void RuleDrivenRouting::event_sink(void* ctx, std::int32_t name_id,
                              static_cast<PortId>(args[0].as_int()),
                              static_cast<VcId>(args[1].as_int()),
                              static_cast<int>(args[2].as_int()));
-}
-
-Value RuleDrivenRouting::input_value(const RouteContext& ctx,
-                                     const std::string& name,
-                                     const std::vector<Value>& idx) const {
-  if (name == "node") return Value::make_int(ctx.node);
-  if (name == "dest") return Value::make_int(ctx.dest);
-  if (name == "src") return Value::make_int(ctx.src);
-  if (name == "in_port") return Value::make_int(ctx.in_port);
-  if (name == "in_vc")
-    return Value::make_int(std::max<VcId>(ctx.in_vc, 0));
-  if (name == "injected")
-    return Value::make_bool(ctx.in_port < 0 || ctx.in_port >= topo_->degree());
-  if (name == "path_len") return Value::make_int(ctx.path_len);
-  if (name == "misrouted") return Value::make_bool(ctx.misrouted);
-  if (name == "link_ok") {
-    FR_REQUIRE_MSG(idx.size() == 1, "link_ok takes one direction index");
-    const auto p = static_cast<PortId>(idx[0].as_int());
-    if (p < 0 || p >= topo_->degree()) return Value::make_bool(false);
-    return Value::make_bool(faults_->link_usable(ctx.node, p));
-  }
-  if (name == "dest_reachable")
-    return Value::make_bool(connected(*faults_, ctx.node, ctx.dest));
-  if (escape_vc_ >= 0) {
-    const bool on_escape = ctx.in_vc == escape_vc_ && ctx.in_port >= 0 &&
-                           ctx.in_port < topo_->degree();
-    if (name == "on_escape") return Value::make_bool(on_escape);
-    if (name == "escape_ok")
-      return Value::make_bool(escape_.reachable(ctx.node, ctx.dest));
-    if (name == "escape_port") {
-      // Deterministic escape hop; the injection port signals "none".
-      if (ctx.dest == ctx.node || !escape_.reachable(ctx.node, ctx.dest))
-        return Value::make_int(topo_->degree());
-      const UpDownTable::Phase phase =
-          on_escape ? escape_.arrival_phase(ctx.node, ctx.in_port)
-                    : UpDownTable::Phase::Up;
-      return Value::make_int(escape_.first_hop(ctx.node, ctx.dest, phase));
-    }
-  }
-  if (mesh_ != nullptr && mesh_->dims() == 2) {
-    if (name == "xpos") return Value::make_int(mesh_->x_of(ctx.node));
-    if (name == "ypos") return Value::make_int(mesh_->y_of(ctx.node));
-    if (name == "xdes") return Value::make_int(mesh_->x_of(ctx.dest));
-    if (name == "ydes") return Value::make_int(mesh_->y_of(ctx.dest));
-  }
-  FR_REQUIRE_MSG(false, "rule program input '" + name +
-                            "' is not in the host catalog");
-  return Value::make_int(0);
 }
 
 void RuleDrivenRouting::add_candidate(RouteDecision& d, PortId port, VcId vc,
@@ -1007,7 +941,7 @@ RouteDecision RuleDrivenRouting::compute_route(Image& im,
   return d;
 }
 
-/// The non-AOT tiers, kept out of route() and filling the caller's object
+/// The unmemoised path, kept out of route() and filling the caller's object
 /// in place: route()'s AOT hit keeps NRVO (a second named return object in
 /// the same function would defeat it) and the fallback pays no extra
 /// temporary.
@@ -1023,36 +957,7 @@ void RuleDrivenRouting::route_fallback(const RouteContext& ctx,
       rolling_ && node_on_pending_[static_cast<std::size_t>(ctx.node)] != 0
           ? *pending_
           : *img_;
-  if (!im.cache_enabled || !cache_wanted_) {
-    d = compute_route(im, ctx);
-    return;
-  }
-
-  NodeCache& nc = im.caches[static_cast<std::size_t>(ctx.node)];
-  const std::uint64_t epoch = faults_->epoch();
-  const std::uint64_t env_ver =
-      im.machines[static_cast<std::size_t>(ctx.node)]->env().version();
-  if (nc.epoch_tag != epoch || nc.env_tag != env_ver) {
-    nc.entries.clear();
-    nc.epoch_tag = epoch;
-    nc.env_tag = env_ver;
-  }
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ctx.dest)) << 16) |
-      (static_cast<std::uint64_t>(static_cast<std::uint8_t>(ctx.in_port + 1))
-       << 8) |
-      static_cast<std::uint64_t>(static_cast<std::uint8_t>(ctx.in_vc + 1));
-  const auto it = nc.entries.find(key);
-  if (it != nc.entries.end()) {
-    ++im.slots[static_cast<std::size_t>(ctx.node)].cache_hits;
-    d = it->second;
-    return;
-  }
-  ++im.slots[static_cast<std::size_t>(ctx.node)].cache_misses;
   d = compute_route(im, ctx);
-  // A stateless program cannot have bumped the env version; the fault epoch
-  // cannot change mid-decision. The tags taken above are still valid.
-  nc.entries.emplace(key, d);
 }
 
 }  // namespace flexrouter

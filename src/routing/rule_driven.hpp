@@ -23,26 +23,25 @@
 //  * Each router node owns an independent register file (one EventManager
 //    per node), so stateful programs keep per-node state like real rule
 //    bases. All mutable per-decision state (active context, candidate
-//    sink, event scratch, cache counters) lives in a per-node DecisionSlot,
-//    so concurrent route() calls on *different* nodes — the sharded
-//    network step — never share mutable state. Decisions on one node are
-//    never concurrent (a node belongs to exactly one shard).
+//    sink, event scratch) lives in a per-node DecisionSlot, so concurrent
+//    route() calls on *different* nodes — the sharded network step — never
+//    share mutable state. Decisions on one node are never concurrent (a
+//    node belongs to exactly one shard).
 //
 // Execution tiers:
-//  * ExecMode::Vm (default) compiles the program to bytecode once (shared
-//    by all nodes) and serves inputs/candidate events through id-resolved
-//    fast paths. On top sits a per-node decision cache keyed by
-//    (dest, in_port, in_vc) — the software analogue of the paper's
-//    RBR-kernel table lookup. It is enabled only when static analysis
-//    proves every reachable rule base is stateless and reads only inputs
-//    determined by the key, the topology and the fault set; cached entries
-//    are invalidated by FaultSet::epoch() and by rule-register writes
-//    (RuleEnv::version()).
-//  * ExecMode::Aot additionally pre-resolves premise points
-//    (node, dest, in_port, in_vc) through the VM into decision tables —
-//    route() becomes a strided load plus a candidate copy, bit-identical
-//    to the VM by construction (the tables store what the VM answered).
-//    Tier selection walks a ladder at fill time:
+//  * ExecMode::Interpret / Table run the reference interpreter (AST or
+//    compiled rule tables) on every decision.
+//  * ExecMode::Vm compiles the program to bytecode once (shared by all
+//    nodes), serves inputs/candidate events through id-resolved fast paths
+//    and runs the VM on every decision. Like Interpret it memoises nothing:
+//    it is the reference the table tiers are checked against.
+//  * ExecMode::Aot (default) is the one mode with a decision memo — the
+//    software analogue of the paper's RBR-kernel table lookup. It
+//    pre-resolves premise points (node, dest, in_port, in_vc) through the
+//    VM into decision tables — route() becomes a strided load plus a
+//    candidate copy, bit-identical to the VM by construction (the tables
+//    store what the VM answered). Tier selection walks a ladder at fill
+//    time:
 //      1. direct   — a flat LUT over the full premise space, when it fits
 //                    the entry budget (the PR 7 layout, unchanged).
 //      2. compressed — when a dest-axis classifier applies (see
@@ -54,18 +53,24 @@
 //                    fill (exhaustive when the uncompressed space fits the
 //                    budget, sampled witnesses beyond); any mismatch
 //                    demotes to the lazy tier.
-//      3. lazy     — fixed-size per-node sub-tables (2-way set-associative,
-//                    tagged by premise key) filled on first touch from the
-//                    miss path, so steady-state traffic converges to table
-//                    latency without ever paying a full 400M-point fill.
-//                    Node-scoped, hence race-free under sharded stepping.
+//      3. lazy     — the memo: fixed-size per-node sub-tables (2-way
+//                    set-associative, tagged by premise key) filled on
+//                    first touch from the miss path, so steady-state
+//                    traffic converges to table latency without ever
+//                    paying a full 400M-point fill. Node-scoped, hence
+//                    race-free under sharded stepping; no allocation in
+//                    steady state.
 //      4. VM       — non-tabulable programs only; the chosen tier and the
 //                    reason are recorded on the image and surfaced through
 //                    aot_tier_info() (rulelint --emit-table, flexsim).
-//    The same soundness analysis gates every table tier; out-of-range
-//    premise points fall back per decision, and a machine() poke drops the
-//    tables until the next fill (the conservative analogue of the cache's
-//    env-version tags).
+//    One soundness analysis gates every table tier: every reachable rule
+//    base is stateless and reads only inputs determined by the premise
+//    point, the topology and the fault set. Tables are refilled for each
+//    FaultSet::epoch(). The VM answers, unmemoised, the premise points a
+//    table cannot hold (out of range, or stored with steps == 0), every
+//    decision of a rolling-commit window, and every decision after a
+//    machine() poke, which drops the tables until the next fill (the host
+//    may have changed rule registers the tables were filled from).
 //
 // Hot swap: prepare_swap() parses, compiles and AOT-fills a complete
 // pending execution image for a new program while the active image keeps
@@ -74,13 +79,12 @@
 // a property of the host (topology + fault set), survives the swap.
 //
 // The decision cost (steps) is the number of rule interpretations the
-// decision consumed — exactly the unit Section 5 reports. Cache and AOT
-// hits report the steps of the decision they replay, keeping the paper's
-// metric intact.
+// decision consumed — exactly the unit Section 5 reports. AOT hits report
+// the steps of the decision they replay, keeping the paper's metric
+// intact.
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 
 #include "common/assert.hpp"
 #include "ruleengine/aot.hpp"
@@ -142,7 +146,7 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
   /// through the escape_* inputs) — the Duato construction that makes
   /// rule-programmed fault tolerance deadlock-free.
   RuleDrivenRouting(std::string program_source, int num_vcs,
-                    rules::ExecMode mode = rules::ExecMode::Vm,
+                    rules::ExecMode mode = rules::ExecMode::Aot,
                     std::string route_base = "route", VcId escape_vc = -1);
   ~RuleDrivenRouting() override;
 
@@ -164,16 +168,6 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
 
   /// Per-node machine access (tests poke state / post events).
   rules::EventManager& machine(NodeId n) const;
-
-  /// Decision-cache introspection (benches and tests). The setter only
-  /// narrows: caching stays off when static analysis ruled it unsound.
-  bool decision_cache_enabled() const {
-    return img_ != nullptr && img_->cache_enabled && cache_wanted_;
-  }
-  void set_decision_cache_enabled(bool on) { cache_wanted_ = on; }
-  std::int64_t decision_cache_hits() const;
-  std::int64_t decision_cache_misses() const;
-  void clear_decision_cache() const;
 
   /// True when decisions are being served from an AOT tier (direct,
   /// compressed or lazy tables; false also after a machine() poke dropped
@@ -244,29 +238,22 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
     Unknown,  // not served by this host configuration: error on read
   };
 
-  struct NodeCache {
-    std::uint64_t epoch_tag = ~std::uint64_t{0};
-    std::uint64_t env_tag = ~std::uint64_t{0};
-    std::unordered_map<std::uint64_t, RouteDecision> entries;
-  };
-
   /// All mutable state one in-flight decision needs, owned per node: the
   /// VM callback context. route() on node n touches only slots_[n] (plus
-  /// the node's machine and cache), which is what makes concurrent
-  /// decisions on distinct nodes race-free. The image-scoped fields the
-  /// raw callbacks need (input-code array, cand event id) are flattened in
-  /// by value / data pointer so a slot never dereferences its Image —
-  /// slots stay valid across image moves.
+  /// the node's machine and lazy sub-table), which is what makes
+  /// concurrent decisions on distinct nodes race-free. The image-scoped
+  /// fields the raw callbacks need (input codes and declarations, cand
+  /// event id) are flattened in by value / data pointer so a slot never
+  /// dereferences its Image — slots stay valid across image moves.
   struct DecisionSlot {
     const RuleDrivenRouting* owner = nullptr;
-    const InCode* input_codes = nullptr;      // this image's resolved inputs
-    std::int32_t cand_event_id = -1;          // this image's interned "cand"
+    const InCode* input_codes = nullptr;       // this image's resolved inputs
+    const rules::InputDecl* inputs = nullptr;  // their declarations (names)
+    std::int32_t cand_event_id = -1;           // this image's interned "cand"
     const RouteContext* ctx = nullptr;
     RouteDecision* decision = nullptr;
     std::vector<rules::EmittedEvent> scratch;
     rules::EventManager::HostHandlerFast cand_handler;
-    std::int64_t cache_hits = 0;
-    std::int64_t cache_misses = 0;
   };
 
   /// One lazy sub-table slot: a tagged AOT entry. tag == 0 is empty; a
@@ -309,8 +296,8 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
   /// Everything scoped to one rule program: the unit of hot swap. The
   /// active image serves traffic; prepare_swap() builds a pending one on
   /// the side and commit_swap() exchanges the unique_ptrs. Host-scoped
-  /// state — topology, fault set, the escape layer, the cache switch —
-  /// lives outside and survives the swap.
+  /// state — topology, fault set, the escape layer — lives outside and
+  /// survives the swap.
   struct Image {
     std::string source;
     std::unique_ptr<rules::Program> program;
@@ -322,12 +309,10 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
     /// immediate (zero-downtime) swap policy.
     bool stateless = false;
     /// Stateless and every input read is premise-keyed — the soundness
-    /// condition shared by the decision cache and the AOT table.
+    /// condition every AOT table tier shares.
     bool tabulable = false;
-    bool cache_enabled = false;
     std::vector<std::unique_ptr<rules::EventManager>> machines;
-    std::vector<DecisionSlot> slots;    // one per node
-    std::vector<NodeCache> caches;      // one per node
+    std::vector<DecisionSlot> slots;  // one per node
     // AOT tier ladder (ExecMode::Aot + tabulable only). `aot` holds the
     // direct or compressed table; `lazy` the per-node sub-tables. The
     // chosen tier and why are recorded for aot_tier_info().
@@ -371,11 +356,14 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
     LazyState* lazy = nullptr;
   };
 
-  rules::Value input_value(const RouteContext& ctx, const std::string& name,
-                           const std::vector<rules::Value>& idx) const;
-  rules::Value input_by_code(InCode code, const RouteContext& ctx,
-                             const rules::Value* idx, std::size_t nidx) const;
-  /// Raw VM callbacks for the decision path (ctx = DecisionSlot*).
+  /// Serve one input from the host catalog; `name` only labels the
+  /// contract error for an input the catalog does not serve.
+  rules::Value input_by_code(InCode code, const std::string& name,
+                             const RouteContext& ctx, const rules::Value* idx,
+                             std::size_t nidx) const;
+  /// Raw VM callbacks for the decision path (ctx = DecisionSlot*). The
+  /// name-keyed Interpret/Table provider resolves the name to its input id
+  /// and calls input_raw too.
   static rules::Value input_raw(void* ctx, std::int32_t input_id,
                                 const rules::Value* idx, std::size_t nidx);
   static void event_sink(void* ctx, std::int32_t name_id,
@@ -404,8 +392,8 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
   /// Re-point aot_view_ at the active image's table (null when it has
   /// none). Call after anything that changes img_ or its table.
   void refresh_aot_view() const;
-  /// Decision-cache + VM/interpreter tiers, out of line so route()'s AOT
-  /// hit keeps NRVO (see the definition). Fills `d` in place.
+  /// The unmemoised VM/interpreter path, out of line so route()'s AOT hit
+  /// keeps NRVO (see the definition). Fills `d` in place.
   void route_fallback(const RouteContext& ctx, RouteDecision& d) const;
   RouteDecision compute_route(Image& im, const RouteContext& ctx) const;
 
@@ -418,7 +406,6 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
   const Topology* topo_ = nullptr;
   const Mesh* mesh_ = nullptr;  // non-null on 2-D meshes
   const FaultSet* faults_ = nullptr;
-  bool cache_wanted_ = true;  // host switch (benches measure cold paths)
   std::uint64_t aot_budget_ = kAotMaxEntries;
   bool compress_wanted_ = true;
   /// Node coordinates flattened for the OffsetSign2D hot path (2-D meshes

@@ -133,7 +133,7 @@ class BytecodeProgram {
 /// (same lifetime contract as Interpreter/RuleEnv).
 std::shared_ptr<const BytecodeProgram> compile_bytecode(const Program& prog);
 
-/// Static reachability analysis for the per-node decision cache: everything
+/// Static reachability analysis for the AOT tables' soundness gate: everything
 /// transitively reachable from `root` (subbase calls in expressions and
 /// emitted events that land on rule bases).
 struct RouteAnalysis {

@@ -4,9 +4,7 @@
 //
 // Besides the name-keyed interface used by the interpreter and tests, the
 // register file exposes an index-keyed fast path (variable id = position in
-// Program::variables) used by the bytecode VM, plus a monotonically
-// increasing version counter that advances on every write — the
-// rule-register half of the decision-cache invalidation contract.
+// Program::variables) used by the bytecode VM.
 #pragma once
 
 #include <cstdint>
@@ -21,14 +19,12 @@ class RuleEnv {
  public:
   explicit RuleEnv(const Program& prog) : prog_(&prog) { reset(); }
 
-  RuleEnv(const RuleEnv& o)
-      : prog_(o.prog_), storage_(o.storage_), version_(o.version_) {
+  RuleEnv(const RuleEnv& o) : prog_(o.prog_), storage_(o.storage_) {
     rebuild_slots();
   }
   RuleEnv& operator=(const RuleEnv& o) {
     prog_ = o.prog_;
     storage_ = o.storage_;
-    version_ = o.version_;
     rebuild_slots();
     return *this;
   }
@@ -44,7 +40,6 @@ class RuleEnv {
       storage_[v.name].assign(count, init);
     }
     if (slots_.size() != prog_->variables.size()) rebuild_slots();
-    ++version_;
   }
 
   const Value& get(const std::string& name, std::int64_t index = 0) const {
@@ -59,7 +54,6 @@ class RuleEnv {
                    "assignment outside domain of '" + name + "'");
     (*const_cast<std::vector<Value>*>(slot))[static_cast<std::size_t>(index)] =
         std::move(value);
-    ++version_;
   }
 
   /// Index-keyed access: `var_id` is the position in Program::variables.
@@ -80,12 +74,7 @@ class RuleEnv {
                    "assignment outside domain of '" + d.name + "'");
     (*slots_[static_cast<std::size_t>(var_id)])
         [static_cast<std::size_t>(index)] = std::move(value);
-    ++version_;
   }
-
-  /// Advances on every committed write (set/set_by_id/reset). Decision
-  /// caches compare this to detect rule-register changes.
-  std::uint64_t version() const { return version_; }
 
   const Program& program() const { return *prog_; }
 
@@ -115,7 +104,6 @@ class RuleEnv {
   const Program* prog_;
   std::map<std::string, std::vector<Value>> storage_;
   std::vector<std::vector<Value>*> slots_;  // parallel to prog_->variables
-  std::uint64_t version_ = 0;
 };
 
 }  // namespace flexrouter::rules

@@ -669,32 +669,59 @@ TEST(AotRollingSwap, ProgramChangeCommitsAndLosesNothing) {
 
 // A machine() poke (mutable per-node rule state access) must drop the
 // table: decisions keep flowing through the VM until the next fill, and
-// reconfigure() restores the table tier.
+// reconfigure() restores the table tier. Two inputs: NARA, where the poke
+// changes nothing, and `regread`, whose decision returns a register the
+// poke rewrites. The VM must see the new value at once, and the refilled
+// table must answer it too — the fill reads the registers.
 TEST(AotHotSwap, MachinePokeDropsTableUntilNextFill) {
+  static const char* kRegRead =
+      "PROGRAM regread;\n"
+      "VARIABLE pref IN 0 TO 4\n"
+      "INPUT node IN 0 TO 15\n"
+      "INPUT dest IN 0 TO 15\n"
+      "ON route RETURNS 0 TO 4\n"
+      "  IF node = dest THEN RETURN(4);\n"
+      "  IF node <> dest THEN RETURN(pref);\n"
+      "END route\n";
   Mesh m = Mesh::two_d(4, 4);
-  FaultSet f(m);
-  RuleDrivenRouting algo(rulebases::nara_route_source(4, 4), 2,
-                         ExecMode::Aot);
-  algo.attach(m, f);
-  ASSERT_TRUE(algo.aot_active());
   RouteContext ctx;
   ctx.node = 0;
   ctx.dest = 5;
   ctx.src = 0;
   ctx.in_port = m.degree();
   ctx.in_vc = 0;
-  const RouteDecision before = algo.route(ctx);
-  algo.machine(3);  // hand out mutable state: conservative invalidation
-  EXPECT_FALSE(algo.aot_active());
-  const RouteDecision during = algo.route(ctx);  // VM fallback still serves
-  algo.reconfigure();
-  EXPECT_TRUE(algo.aot_active());
-  const RouteDecision after = algo.route(ctx);
-  EXPECT_EQ(before.candidates.size(), during.candidates.size());
-  EXPECT_EQ(before.candidates.size(), after.candidates.size());
-  for (std::size_t i = 0; i < before.candidates.size(); ++i) {
-    EXPECT_EQ(before.candidates[i].port, after.candidates[i].port);
-    EXPECT_EQ(before.candidates[i].vc, after.candidates[i].vc);
+  const auto ports = [](const RouteDecision& d) {
+    std::vector<std::pair<PortId, VcId>> out;
+    for (const RouteCandidate& c : d.candidates) out.emplace_back(c.port, c.vc);
+    return out;
+  };
+  for (const bool regread : {false, true}) {
+    SCOPED_TRACE(regread ? "regread" : "nara");
+    FaultSet f(m);
+    RuleDrivenRouting algo(
+        regread ? std::string(kRegRead) : rulebases::nara_route_source(4, 4),
+        2, ExecMode::Aot);
+    algo.attach(m, f);
+    ASSERT_TRUE(algo.aot_active());
+    const RouteDecision before = algo.route(ctx);
+    // Hand out mutable state: conservative invalidation.
+    rules::EventManager& em = algo.machine(ctx.node);
+    if (regread) em.env().set("pref", 0, rules::Value::make_int(4));
+    EXPECT_FALSE(algo.aot_active());
+    const RouteDecision during = algo.route(ctx);  // the VM serves
+    algo.reconfigure();
+    EXPECT_TRUE(algo.aot_active());
+    const RouteDecision after = algo.route(ctx);
+    EXPECT_EQ(ports(during), ports(after));
+    if (!regread) {
+      EXPECT_EQ(ports(before), ports(during));
+      continue;
+    }
+    // pref = 0 routes east on every VC; pref = 4 is the local port.
+    ASSERT_FALSE(before.candidates.empty());
+    EXPECT_EQ(before.candidates[0].port, 0);
+    ASSERT_EQ(during.candidates.size(), 1u);
+    EXPECT_EQ(during.candidates[0].port, m.degree());
   }
 }
 

@@ -142,7 +142,7 @@ TEST(Chaos, DegradeDimensionIsOrthogonalToFaults) {
   const std::uint64_t epoch = f.epoch();
   f.degrade_link(m.at(1, 1), port_of(Compass::East), 4);
   // Degradation changes no routing-visible state: the link stays usable
-  // and the epoch (decision-cache key) does not move.
+  // and the epoch (the AOT tables' refill key) does not move.
   EXPECT_EQ(f.epoch(), epoch);
   EXPECT_TRUE(f.link_usable(m.at(1, 1), port_of(Compass::East)));
   EXPECT_EQ(f.link_degrade_factor(m.at(1, 1), port_of(Compass::East)), 4);

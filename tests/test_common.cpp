@@ -238,6 +238,11 @@ TEST(Config, MalformedValueThrows) {
   const auto cfg = Config::parse("x = banana");
   EXPECT_THROW(cfg.get_int("x", 0), ContractViolation);
   EXPECT_THROW(cfg.get_bool("x", false), ContractViolation);
+  // A number with trailing junk is malformed too, not silently truncated.
+  const auto junk = Config::parse("i = 3x; d = 0.1abc; l = 1,2y");
+  EXPECT_THROW(junk.get_int("i", 0), ContractViolation);
+  EXPECT_THROW(junk.get_double("d", 0.0), ContractViolation);
+  EXPECT_THROW(junk.get_int_list("l", {}), ContractViolation);
 }
 
 TEST(Config, MalformedLineThrows) {

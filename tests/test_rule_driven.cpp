@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "hwcost/evaluation.hpp"
 #include "routing/cdg.hpp"
@@ -13,6 +14,7 @@
 #include "ruleengine/parser.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/simulator.hpp"
+#include "topology/hypercube.hpp"
 
 namespace flexrouter {
 namespace {
@@ -117,6 +119,65 @@ TEST(RuleDrivenNet, InterpretAndTableModesAgree) {
 }
 
 // ------------------------------------------------- e-cube-in-rules differential
+// An input the host configuration does not serve fails at read time with a
+// contract error that names it: the same error from the same check in every
+// mode, because the name-keyed Interpret/Table provider resolves the name to
+// the input id the VM reads by.
+TEST(RuleDrivenNet, HostAbsentInputIsTheSameNamedErrorInEveryMode) {
+  struct Case {
+    const char* input;
+    const char* source;
+    std::unique_ptr<Topology> topo;
+  };
+  Case cases[] = {
+      // escape_* inputs exist only when an escape VC is configured.
+      {"escape_ok",
+       "PROGRAM noesc;\n"
+       "INPUT escape_ok IN 0 TO 1\n"
+       "ON route RETURNS 0 TO 4\n"
+       "  IF escape_ok = 1 THEN RETURN(4);\n"
+       "  IF escape_ok = 0 THEN RETURN(0);\n"
+       "END route\n",
+       std::make_unique<Mesh>(std::vector<int>{4, 4})},
+      // Coordinates exist only on a 2-D mesh.
+      {"xpos",
+       "PROGRAM cubex;\n"
+       "INPUT xpos IN 0 TO 15\n"
+       "ON route RETURNS 0 TO 4\n"
+       "  IF xpos >= 0 THEN RETURN(0);\n"
+       "END route\n",
+       std::make_unique<Hypercube>(4)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.input);
+    FaultSet f(*c.topo);
+    RouteContext ctx;
+    ctx.node = 0;
+    ctx.dest = 5;
+    ctx.src = 0;
+    ctx.in_port = c.topo->degree();
+    ctx.in_vc = 0;
+    std::set<std::string> errors;
+    for (const rules::ExecMode mode :
+         {rules::ExecMode::Interpret, rules::ExecMode::Table,
+          rules::ExecMode::Vm, rules::ExecMode::Aot}) {
+      RuleDrivenRouting algo(c.source, 1, mode);
+      algo.attach(*c.topo, f);
+      try {
+        algo.route(ctx);
+        ADD_FAILURE() << "mode " << static_cast<int>(mode) << " did not throw";
+      } catch (const ContractViolation& e) {
+        errors.insert(e.what());
+      }
+    }
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_NE(errors.begin()->find(std::string("rule program input '") +
+                                   c.input + "' is not in the host catalog"),
+              std::string::npos)
+        << *errors.begin();
+  }
+}
+
 TEST(EcubeRules, MatchesNativeOnEveryPair) {
   Hypercube h(5);
   FaultSet f(h);
