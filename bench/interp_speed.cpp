@@ -287,23 +287,21 @@ BENCHMARK(BM_Decision_RouteC_AotSweep);
 
 // ---------------------------------------- F7d: 4096-node fabric decisions
 // The fabrics the tier ladder exists for: a 64x64 fault-tolerant mesh
-// (402M-point premise space — no eager fill fits, the lazy per-node
-// sub-tables serve) and a 12-cube (the xor-fold compressed table collapses
-// 436M points to 114k entries). The full premise space cannot be swept, so
-// each node routes a bounded, shuffled working set sized to the lazy
-// sub-table capacity; the steady-state figure is read after a warm pass
-// converges the lazy sub-tables.
+// (402M-point premise space — no eager fill fits and no classifier
+// applies, the 8192-entry RBR-kernel serves) and a 12-cube (the xor-fold
+// compressed table collapses 436M points to 114k entries). The full
+// premise space cannot be swept, so each node routes a bounded, shuffled
+// working set.
 //
 // The sweep is node-major: each node's points are shuffled, and the node
 // visit order is shuffled, but one node's points complete before the next
 // node starts. That is the access pattern the figure must price — in the
-// fabric every router probes only its OWN sub-table, which stays resident
-// in that router; round-robining 4096 routers' tables (64MB) through one
-// benchmarking core's cache hierarchy would measure DRAM latency, not the
-// tier. Acceptance: the lazy and compressed tiers keep ns/route within 2x
-// of the small-fabric direct-LUT sweeps above, and the measured loop
-// performs ZERO heap allocations once warm (enforced here under
-// FLEXROUTER_COUNT_ALLOCS — the release CI smoke).
+// fabric every router reads only its OWN table rows and host state, which
+// stay resident in that router; round-robining 4096 routers' state
+// through one benchmarking core's cache hierarchy would measure DRAM
+// latency, not the tier. Acceptance: the measured loop performs ZERO heap
+// allocations once warm (enforced here under FLEXROUTER_COUNT_ALLOCS — the
+// release CI smoke).
 std::vector<RouteContext> bounded_premise_sweep(const Topology& topo,
                                                 int sweep_vcs,
                                                 int dests_per_node) {
@@ -371,7 +369,7 @@ void large_fabric_bench(benchmark::State& state, const Topology& topo,
   }
   const std::vector<RouteContext> pts =
       bounded_premise_sweep(topo, sweep_vcs, /*dests_per_node=*/16);
-  for (const RouteContext& ctx : pts) {  // converge lazy fills
+  for (const RouteContext& ctx : pts) {  // warm caches
     const auto d = algo->route(ctx);
     benchmark::DoNotOptimize(d.candidates.size());
   }
@@ -392,7 +390,7 @@ void large_fabric_bench(benchmark::State& state, const Topology& topo,
   }
 }
 
-void BM_Decision_Nafta64x64_LazySweep(benchmark::State& state) {
+void BM_Decision_FtMesh64x64_KernelSweep(benchmark::State& state) {
   large_fabric_bench(
       state, Mesh::two_d(64, 64),
       [] {
@@ -400,9 +398,9 @@ void BM_Decision_Nafta64x64_LazySweep(benchmark::State& state) {
             rulebases::ft_mesh_route_source(64, 64), 3, ExecMode::Aot,
             "route", /*escape_vc=*/2);
       },
-      /*sweep_vcs=*/2, RuleDrivenRouting::AotTier::Lazy);
+      /*sweep_vcs=*/2, RuleDrivenRouting::AotTier::Kernel);
 }
-BENCHMARK(BM_Decision_Nafta64x64_LazySweep);
+BENCHMARK(BM_Decision_FtMesh64x64_KernelSweep);
 
 void BM_Decision_Ecube12_CompressedSweep(benchmark::State& state) {
   large_fabric_bench(
@@ -414,22 +412,6 @@ void BM_Decision_Ecube12_CompressedSweep(benchmark::State& state) {
       /*sweep_vcs=*/1, RuleDrivenRouting::AotTier::Compressed);
 }
 BENCHMARK(BM_Decision_Ecube12_CompressedSweep);
-
-// The same 12-cube program with compression disabled: prices what the
-// lazy tier costs on a fabric the compressed table would also fit, i.e.
-// the tag probe + 2-way select against the strided load above.
-void BM_Decision_Ecube12_LazySweep(benchmark::State& state) {
-  large_fabric_bench(
-      state, Hypercube(12),
-      [] {
-        auto algo = std::make_unique<RuleDrivenRouting>(
-            rulebases::ecube_route_source(12), 1, ExecMode::Aot);
-        algo->set_aot_compression_enabled(false);
-        return algo;
-      },
-      /*sweep_vcs=*/1, RuleDrivenRouting::AotTier::Lazy);
-}
-BENCHMARK(BM_Decision_Ecube12_LazySweep);
 
 void BM_NetworkCycle_Nafta8x8(benchmark::State& state) {
   Mesh m = Mesh::two_d(8, 8);

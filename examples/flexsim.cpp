@@ -52,15 +52,14 @@
 //
 // Rule-engine keys (need a *-rules algorithm; contract error otherwise):
 //   exec_mode  = interp | vm | aot             (decision backend; default
-//                                               aot, the pre-resolved table
-//                                               and the only decision memo;
+//                                               aot, the table tiers;
 //                                               interp and vm run the
 //                                               interpreter / bytecode VM on
 //                                               every decision. The summary
 //                                               line reports the AOT tier
 //                                               actually chosen —
-//                                               direct/compressed/lazy — or
-//                                               why the VM kept serving)
+//                                               direct/compressed/kernel —
+//                                               or why the VM kept serving)
 //   swap_rules_at = 2000,new_rules.txt         (live hot-swap: at the cycle,
 //                                               load the rule program from
 //                                               the file and commit it under
@@ -85,6 +84,7 @@
 // combination, reported as `config error: ...` naming the key — or on a
 // simulation error.
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -129,6 +129,27 @@ int int_field(const std::string& key, const std::string& tok) {
   return static_cast<int>(v);
 }
 
+/// An integer key that must lie in [lo, hi]; out of range is a config
+/// error naming the key, not a failure deep inside the run.
+std::int64_t ranged_int(const Config& cfg, const std::string& key,
+                        std::int64_t def, std::int64_t lo,
+                        std::int64_t hi = std::numeric_limits<int>::max()) {
+  const std::int64_t v = cfg.get_int(key, def);
+  if (v < lo || v > hi)
+    throw std::invalid_argument(
+        "config key '" + key + "': " + std::to_string(v) + " is outside [" +
+        std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  return v;
+}
+
+/// An offered load: a positive, finite flit rate.
+double checked_rate(const std::string& key, double rate) {
+  if (!(rate > 0.0) || !std::isfinite(rate))
+    throw std::invalid_argument("config key '" + key + "': rate " +
+                                std::to_string(rate) + " must be > 0");
+  return rate;
+}
+
 std::vector<double> parse_rates(const Config& cfg) {
   std::vector<double> rates;
   const std::string list = cfg.get_string("rates", "");
@@ -137,10 +158,12 @@ std::vector<double> parse_rates(const Config& cfg) {
     std::string tok;
     while (std::getline(is, tok, ',')) {
       if (tok.empty()) continue;
-      rates.push_back(Config::parse_double("rates", tok));
+      rates.push_back(
+          checked_rate("rates", Config::parse_double("rates", tok)));
     }
   }
-  if (rates.empty()) rates.push_back(cfg.get_double("rate", 0.10));
+  if (rates.empty())
+    rates.push_back(checked_rate("rate", cfg.get_double("rate", 0.10)));
   return rates;
 }
 
@@ -407,17 +430,19 @@ RunSpec read_config(int argc, char** argv) {
 
   // Topology (shared by every replica — it is immutable).
   spec.tname = cfg.get_string("topology", "mesh");
+  // Radix floors are the topologies' own: a torus needs 3 for its wrap
+  // links to be distinct from the mesh links.
   if (spec.tname == "mesh") {
     spec.topo = std::make_unique<Mesh>(std::vector<int>{
-        static_cast<int>(cfg.get_int("width", 8)),
-        static_cast<int>(cfg.get_int("height", 8))});
+        static_cast<int>(ranged_int(cfg, "width", 8, 2, 1 << 15)),
+        static_cast<int>(ranged_int(cfg, "height", 8, 2, 1 << 15))});
   } else if (spec.tname == "torus") {
     spec.topo = std::make_unique<Torus>(std::vector<int>{
-        static_cast<int>(cfg.get_int("width", 8)),
-        static_cast<int>(cfg.get_int("height", 8))});
+        static_cast<int>(ranged_int(cfg, "width", 8, 3, 1 << 15)),
+        static_cast<int>(ranged_int(cfg, "height", 8, 3, 1 << 15))});
   } else if (spec.tname == "hypercube") {
     spec.topo = std::make_unique<Hypercube>(
-        static_cast<int>(cfg.get_int("dimension", 4)));
+        static_cast<int>(ranged_int(cfg, "dimension", 4, 1, 20)));
   } else {
     throw std::invalid_argument("unknown topology '" + spec.tname + "'");
   }
@@ -464,23 +489,27 @@ RunSpec read_config(int argc, char** argv) {
   }
 
   spec.pattern = cfg.get_string("traffic", "uniform");
-  spec.link_faults = static_cast<int>(cfg.get_int("link_faults", 0));
-  spec.node_faults = static_cast<int>(cfg.get_int("node_faults", 0));
+  spec.link_faults = static_cast<int>(ranged_int(cfg, "link_faults", 0, 0));
+  spec.node_faults = static_cast<int>(ranged_int(cfg, "node_faults", 0, 0));
   spec.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
   spec.rates = parse_rates(cfg);
-  spec.threads = static_cast<int>(cfg.get_int("threads", 0));
+  spec.threads = static_cast<int>(ranged_int(cfg, "threads", 0, 0));
   spec.show_links = cfg.get_bool("show_links", false);
 
   SimConfig& base = spec.base;
-  base.packet_length = static_cast<int>(cfg.get_int("packet_length", 4));
-  base.warmup_cycles = cfg.get_int("warmup", 1000);
-  base.measure_cycles = cfg.get_int("measure", 2000);
-  base.detection_delay = cfg.get_int("detection_delay", 0);
-  base.max_retries = static_cast<int>(cfg.get_int("max_retries", 3));
-  base.rolling_shards = static_cast<int>(cfg.get_int("rolling_shards", 8));
+  base.packet_length =
+      static_cast<int>(ranged_int(cfg, "packet_length", 4, 1));
+  base.warmup_cycles = ranged_int(cfg, "warmup", 1000, 0);
+  base.measure_cycles = ranged_int(cfg, "measure", 2000, 1);
+  base.detection_delay = ranged_int(cfg, "detection_delay", 0, 0);
+  base.max_retries = static_cast<int>(ranged_int(cfg, "max_retries", 3, 0));
+  base.rolling_shards =
+      static_cast<int>(ranged_int(cfg, "rolling_shards", 8, 1));
 
-  spec.ncfg.shards = static_cast<int>(cfg.get_int("shards", 1));
-  spec.ncfg.shard_threads = static_cast<int>(cfg.get_int("shard_threads", 0));
+  spec.ncfg.shards = static_cast<int>(
+      ranged_int(cfg, "shards", 1, 1, spec.topo->num_nodes()));
+  spec.ncfg.shard_threads =
+      static_cast<int>(ranged_int(cfg, "shard_threads", 0, 0));
 
   FaultSchedule& schedule = spec.schedule;
   schedule = parse_fault_schedule(cfg.get_string("fault_at", ""));

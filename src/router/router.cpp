@@ -215,6 +215,7 @@ void Router::stage_drain_poisoned(Cycle now, std::vector<Flit>& dropped) {
     const Flit f = in.buffer.pop();
     --m.occ;
     ++stats_.flits_dropped;
+    count_movement();
     const PortId p = idx / vcs_;
     if (p < degree_ && in_links_[static_cast<std::size_t>(p)] != nullptr)
       in_links_[static_cast<std::size_t>(p)]->send_credit(now, idx % vcs_);
@@ -409,6 +410,7 @@ void Router::stage_sa_st(Cycle now, std::vector<Flit>& ejected) {
 
     if (out == local_port()) {
       ++stats_.flits_ejected;
+      count_movement();
       if (flit.tail()) {
         wm.status = static_cast<std::uint8_t>(VcStatus::Idle);
         in.out_port = kInvalidPort;
@@ -432,6 +434,7 @@ void Router::stage_sa_st(Cycle now, std::vector<Flit>& ejected) {
     FR_ASSERT_MSG(link != nullptr, "active VC aimed at an unconnected port");
     link->send_flit(now, in.out_vc, flit);
     ++stats_.flits_forwarded;
+    count_movement();
 
     if (flit.tail()) {
       o.owned = false;

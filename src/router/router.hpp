@@ -126,6 +126,11 @@ class Router {
   void collect_stalled(std::vector<StalledVc>& out) const;
 
   const RouterStats& stats() const { return stats_; }
+  /// A running total this router also adds every flit movement to
+  /// (forwarded, ejected and dropped flits, as counted in stats()). The
+  /// network points it at the router's shard, so the total stays exact
+  /// without walking every router.
+  void set_movement_counter(std::int64_t* counter) { movements_ = counter; }
 
   /// Local occupancy view used as the adaptivity criterion (buffer
   /// exploitation as load measure, Section 4.1).
@@ -221,6 +226,10 @@ class Router {
   /// Latched at step() entry: any poisoned worms alive in this replica?
   bool poison_active_ = false;
   RouterStats stats_;
+  std::int64_t* movements_ = nullptr;
+  void count_movement() {
+    if (movements_ != nullptr) ++*movements_;
+  }
 };
 
 }  // namespace flexrouter

@@ -51,9 +51,10 @@ RuleDrivenRouting::~RuleDrivenRouting() = default;
 int RuleDrivenRouting::reconfigure() {
   int exchanges = 0;
   if (escape_vc_ >= 0) exchanges = escape_.rebuild(*faults_);
-  // The AOT table is a function of the fault epoch (link_ok,
-  // dest_reachable, escape_*): refill it during the same quiescent phase
-  // that rebuilds the escape layer. Local recomputation — no exchanges.
+  // The direct and compressed tables are functions of the fault epoch
+  // (link_ok, dest_reachable, escape_*): refill them during the same
+  // quiescent phase that rebuilds the escape layer. Local recomputation —
+  // no exchanges. The kernel reads those inputs live and needs nothing.
   if (img_ != nullptr) fill_aot(*img_);
   refresh_aot_view();
   return exchanges;
@@ -173,6 +174,7 @@ std::unique_ptr<RuleDrivenRouting::Image> RuleDrivenRouting::build_image(
 
 void RuleDrivenRouting::attach(const Topology& topo, const FaultSet& faults) {
   topo_ = &topo;
+  degree_ = topo.degree();
   mesh_ = dynamic_cast<const Mesh*>(&topo);
   faults_ = &faults;
   // Flattened coordinates for the offset-sign classifier's hot path (one
@@ -220,17 +222,14 @@ void RuleDrivenRouting::fill_aot(Image& im) const {
   };
   im.full_entries = full.entry_count();
   const std::uint64_t epoch = faults_->epoch();
-  const bool direct_fresh = !im.aot.empty() && im.aot_epoch == epoch;
-  const bool lazy_fresh =
-      im.lazy != nullptr && im.lazy_active && im.lazy->epoch == epoch;
-  if (direct_fresh || lazy_fresh) return;  // already fresh
+  const bool table_fresh = !im.aot.empty() && im.aot_epoch == epoch;
+  const bool kernel_serving = im.tier == AotTier::Kernel && im.kernel_active;
+  if (table_fresh || kernel_serving) return;  // already fresh
   FR_ASSERT_MSG(escape_vc_ < 0 || escape_.built_for_epoch() == epoch,
                 "AOT fill needs the escape table rebuilt first");
 
-  // Tier ladder: direct -> compressed -> lazy. A tabulable program always
-  // gets *some* table tier — the lazy sub-tables fit any fabric by
-  // construction — so the VM tier above is reserved for programs the
-  // soundness analysis rejects.
+  // Tier ladder: direct -> compressed -> kernel -> VM.
+  im.kernel_active = false;
   if (rules::AotTable::within_budget(full, aot_budget_)) {
     fill_direct(im, full);
     im.aot_epoch = epoch;
@@ -238,32 +237,35 @@ void RuleDrivenRouting::fill_aot(Image& im) const {
     im.classifier_used = rules::DestClassifier::None;
     im.tier_reason = "full premise space (" + std::to_string(im.full_entries) +
                      " entries) fits the budget";
-    im.lazy_active = false;
     return;
   }
-  if (compress_wanted_ && im.classify.kind != rules::DestClassifier::None) {
+  if (im.classify.kind != rules::DestClassifier::None) {
     if (fill_compressed(im, full)) {
       im.aot_epoch = epoch;
       im.tier = AotTier::Compressed;
       im.classifier_used = im.classify.kind;
-      im.lazy_active = false;
       return;  // fill_compressed recorded the classifier verdict as reason
     }
     // fill_compressed left its demotion reason in tier_reason; fall through.
-  } else if (!compress_wanted_) {
-    im.tier_reason = "dest-class compression disabled";
   } else {
     im.tier_reason = im.classify.reason;
   }
-  setup_lazy(im, full);
   im.aot.clear();
-  im.aot_epoch = epoch;
-  im.tier = AotTier::Lazy;
   im.classifier_used = rules::DestClassifier::None;
-  im.tier_reason = "full premise space (" + std::to_string(im.full_entries) +
-                   " entries) over budget (" + std::to_string(aot_budget_) +
-                   "); " + im.tier_reason;
-  im.lazy_active = true;
+  const std::string over = "full premise space (" +
+                           std::to_string(im.full_entries) +
+                           " entries) over budget (" +
+                           std::to_string(aot_budget_) + "); " + im.tier_reason;
+  if (build_kernel(im)) {
+    im.tier = AotTier::Kernel;
+    im.kernel_active = true;
+    im.tier_reason = over + "; kernel: " +
+                     std::to_string(im.kernel->entries()) + " entries over " +
+                     std::to_string(im.kernel->num_axes()) + " feature axes";
+    return;
+  }
+  im.tier = AotTier::Vm;
+  im.tier_reason = over + "; no kernel: " + im.kernel_refusal;
 }
 
 void RuleDrivenRouting::fill_direct(Image& im,
@@ -544,97 +546,125 @@ bool RuleDrivenRouting::fill_compressed(
   return true;
 }
 
-void RuleDrivenRouting::setup_lazy(Image& im,
-                                   const rules::AotTable::Dims& full) const {
-  const NodeId n_nodes = topo_->num_nodes();
-  if (im.lazy == nullptr) im.lazy = std::make_unique<LazyState>();
-  LazyState& ls = *im.lazy;
-  std::uint64_t per = aot_budget_ / static_cast<std::uint64_t>(n_nodes);
-  per = std::bit_floor(std::max<std::uint64_t>(per, kLazyMinPerNode));
-  ls.sets = static_cast<std::uint32_t>(per / 2);
-  ls.capacity = per;
-  ls.ports = full.ports;
-  ls.vcs = full.vcs;
-  ls.id_bound = full.nodes;
-  ls.epoch = faults_->epoch();
-  if (ls.nodes.size() != static_cast<std::size_t>(n_nodes)) {
-    ls.nodes.clear();
-    ls.nodes.resize(static_cast<std::size_t>(n_nodes));
-  } else {
-    // Epoch refill: drop stale decisions but keep the buffers (no
-    // steady-state allocation across fault epochs) and the cumulative
-    // counters.
-    for (std::unique_ptr<LazyNode>& np : ls.nodes)
-      if (np != nullptr) {
-        if (np->slots.size() != static_cast<std::size_t>(per))
-          np->slots.assign(static_cast<std::size_t>(per), LazySlot{});
-        else
-          std::fill(np->slots.begin(), np->slots.end(), LazySlot{});
-      }
+bool RuleDrivenRouting::build_kernel(Image& im) const {
+  if (im.kernel != nullptr) return true;
+  if (!im.kernel_refusal.empty()) return false;
+  // The kernel serves a declared input only in the form the catalog reads
+  // it: link_ok with its one direction index, the rest unindexed. The value
+  // ranges hold for the premise points route_kernel() accepts.
+  const std::int64_t n_max = topo_->num_nodes() - 1;
+  const std::int64_t degree = topo_->degree();
+  const auto resolve = [&](std::int32_t id) {
+    const auto i = static_cast<std::size_t>(id);
+    const InCode code = im.input_codes[i];
+    rules::RuleKernel::HostInput h;
+    const std::size_t nidx = im.program->inputs[i].index_domains.size();
+    if (code == InCode::Unknown || nidx != (code == InCode::LinkOk ? 1u : 0u))
+      return h;
+    h.code = static_cast<std::int32_t>(code);
+    h.hi = 1;  // the booleans
+    switch (code) {
+      case InCode::Node:
+      case InCode::Dest: h.hi = n_max; break;
+      case InCode::InPort: h.lo = -1; h.hi = degree; break;
+      case InCode::InVc: h.hi = vcs_ - 1; break;
+      case InCode::Src:  // header fields route_kernel() does not range-check
+      case InCode::PathLen:
+        h.lo = std::numeric_limits<std::int64_t>::min();
+        h.hi = std::numeric_limits<std::int64_t>::max();
+        break;
+      case InCode::EscapePort:
+        h.hi = degree;
+        h.may_throw = true;  // first_hop has no legal hop in some phases
+        h.costly = true;
+        break;
+      // Reads of the escape layer's distance table (a likely cache miss)
+      // and a graph search: worth deferring.
+      case InCode::EscapeOk:
+      case InCode::DestReachable: h.costly = true; break;
+      case InCode::XPos:
+      case InCode::XDes: h.hi = mesh_->radix(0) - 1; break;
+      case InCode::YPos:
+      case InCode::YDes: h.hi = mesh_->radix(1) - 1; break;
+      default: break;
+    }
+    return h;
+  };
+  try {
+    rules::Interpreter interp(*im.program);
+    const rules::CompiledRuleBase compiled = rules::compile_rule_base(
+        *im.program,
+        im.program->rule_bases[static_cast<std::size_t>(im.route_rb)], interp);
+    im.kernel = rules::RuleKernel::lower(*im.program, compiled, resolve,
+                                         im.kernel_refusal);
+  } catch (const std::exception& e) {
+    // The compiler rejects rule bases over its table cap or with premises
+    // its feature axes cannot cover; the VM serves those.
+    im.kernel_refusal = e.what();
   }
+  return im.kernel != nullptr;
 }
 
-void RuleDrivenRouting::route_lazy_miss(const RouteContext& ctx,
-                                        RouteDecision& d,
-                                        std::uint64_t key) const {
-  Image& im = *img_;
-  LazyState& ls = *im.lazy;
-  std::unique_ptr<LazyNode>& np = ls.nodes[static_cast<std::size_t>(ctx.node)];
-  if (np == nullptr) {
-    // First touch of this node: allocate its sub-table. Node-scoped, so
-    // concurrent first touches on distinct nodes never race (the nodes
-    // vector itself was pre-sized at setup and is never resized).
-    np = std::make_unique<LazyNode>();
-    np->slots.assign(static_cast<std::size_t>(ls.capacity), LazySlot{});
+bool RuleDrivenRouting::route_kernel(const RouteContext& ctx,
+                                     RouteDecision& d) const {
+  const AotView& av = aot_view_;
+  // The premise space the kernel's input ranges were derived for (the
+  // catalog also indexes per-node arrays); anything else is the VM's.
+  if (static_cast<std::uint32_t>(ctx.node) >=
+          static_cast<std::uint32_t>(av.id_bound) ||
+      static_cast<std::uint32_t>(ctx.dest) >=
+          static_cast<std::uint32_t>(av.id_bound) ||
+      static_cast<std::uint32_t>(ctx.in_port + 1) >=
+          static_cast<std::uint32_t>(av.ports) ||
+      static_cast<std::uint32_t>(ctx.in_vc + 1) >=
+          static_cast<std::uint32_t>(av.vcs))
+    return false;
+  FR_REQUIRE_MSG(escape_vc_ < 0 ||
+                     escape_.built_for_epoch() == faults_->epoch(),
+                 "stale escape table: reconfigure() missed an epoch");
+  const rules::RuleKernel& k = *av.kernel;
+  const auto read = [this, &ctx](std::int32_t host, std::int64_t index) {
+    return input_int(static_cast<InCode>(host), ctx, index);
+  };
+  std::int64_t r[rules::RuleKernel::kMaxRegs];
+  int rule;
+  try {
+    // Premise processing reads every axis, including ones the VM's
+    // short-circuit would skip; a catalog read that raises (escape_port
+    // with no legal hop) is the VM's to raise or not.
+    rule = k.select(r, read);
+    if (rule >= 0 && !k.conclude(rule, r, read)) return false;
+  } catch (const ContractViolation&) {
+    return false;
   }
-  LazyNode& ln = *np;
-  ++ln.misses;
-  // Throws (premise points the engine rejects) propagate uncached —
-  // identical to what the VM tier does for the same context.
-  d = compute_route(im, ctx);
-  // Only inline-packable decisions are stored: an arena would grow under
-  // traffic (breaking the steady-state zero-allocation property) and could
-  // not be reclaimed on eviction. Oversized decisions recompute each time.
-  bool storable = d.steps >= 1 && d.steps <= 0xffff && !d.mark_misrouted &&
-                  d.candidates.size() <= rules::AotEntry::kInlineCands;
-  for (std::size_t i = 0; storable && i < d.candidates.size(); ++i) {
-    const RouteCandidate& c = d.candidates[i];
-    storable = c.port >= std::numeric_limits<std::int8_t>::min() &&
-               c.port <= std::numeric_limits<std::int8_t>::max() &&
-               c.vc >= std::numeric_limits<std::int8_t>::min() &&
-               c.vc <= std::numeric_limits<std::int8_t>::max() &&
-               c.priority >= std::numeric_limits<std::int16_t>::min() &&
-               c.priority <= std::numeric_limits<std::int16_t>::max();
+  if (rule == rules::RuleKernel::kRaise) return false;
+  if (rule < 0) return true;  // no rule applies: no candidates, one step
+  // Conclusion processing: fill the candidate template. The range checks
+  // are add_candidate's; a violation is the VM's to raise.
+  const PortId degree = degree_;
+  const rules::KernelConclusion& c = k.conclusion(rule);
+  for (std::uint32_t i = c.cand_begin; i < c.cand_end; ++i) {
+    const rules::KernelCand& kc = k.cands()[i];
+    const auto port = static_cast<PortId>(kc.port.value(r));
+    const auto vc = static_cast<VcId>(kc.vc.value(r));
+    if (port < 0 || port > degree || vc < 0 || vc >= vcs_ ||
+        d.candidates.size() == kMaxCandidates)
+      return false;
+    d.candidates.push_back({port, vc, static_cast<int>(kc.priority.value(r))});
   }
-  if (!storable) {
-    ++ln.uncacheable;
-    return;
+  if (c.returns) {
+    const std::int64_t v = c.ret.value(r);
+    if (c.ret_checked && (v < c.ret_lo || v > c.ret_hi)) return false;
+    // A RETURNed port means "any VC of that port".
+    const auto port = static_cast<PortId>(v);
+    const std::size_t n = port == degree ? 1 : static_cast<std::size_t>(vcs_);
+    if (port < 0 || port > degree ||
+        d.candidates.size() + n > kMaxCandidates)
+      return false;
+    for (std::size_t v2 = 0; v2 < n; ++v2)
+      d.candidates.push_back({port, static_cast<VcId>(v2), 0});
   }
-  rules::AotEntry e{};
-  e.steps = static_cast<std::uint16_t>(d.steps);
-  e.count = static_cast<std::uint16_t>(d.candidates.size());
-  for (std::size_t i = 0; i < d.candidates.size(); ++i)
-    e.inl[i] = {static_cast<std::int8_t>(d.candidates[i].port),
-                static_cast<std::int8_t>(d.candidates[i].vc),
-                static_cast<std::int16_t>(d.candidates[i].priority)};
-  const std::uint64_t hh = (key * 0x9E3779B97F4A7C15ull) >> 32;
-  const std::size_t base = static_cast<std::size_t>(
-      (hh & (static_cast<std::uint64_t>(ls.sets) - 1)) * 2);
-  LazySlot* way = &ln.slots[base];
-  if (way->tag != 0) {
-    if (ln.slots[base + 1].tag == 0) {
-      way = &ln.slots[base + 1];
-    } else {
-      // Both ways live: evict a deterministic, hash-chosen way. Contents
-      // may then depend on decision order (which varies with sharding),
-      // but the table only affects speed — every stored entry replays a
-      // bit-identical VM decision, and misses recompute through the VM.
-      way = &ln.slots[base + ((hh >> 17) & 1)];
-      ++ln.evictions;
-    }
-  }
-  way->tag = key + 1;
-  way->e = e;
+  return true;
 }
 
 void RuleDrivenRouting::refresh_aot_view() const {
@@ -659,8 +689,11 @@ void RuleDrivenRouting::refresh_aot_view() const {
     aot_view_.id_bound = topo_->num_nodes();
     aot_view_.xs = coords_x_.empty() ? nullptr : coords_x_.data();
     aot_view_.ys = coords_y_.empty() ? nullptr : coords_y_.data();
-  } else if (im.lazy != nullptr && im.lazy_active) {
-    aot_view_.lazy = im.lazy.get();
+  } else if (im.kernel_active) {
+    aot_view_.kernel = im.kernel.get();
+    aot_view_.id_bound = topo_->num_nodes();
+    aot_view_.ports = topo_->degree() + 2;  // the table axes' extents
+    aot_view_.vcs = vcs_ + 1;
   }
 }
 
@@ -716,10 +749,9 @@ rules::EventManager& RuleDrivenRouting::machine(NodeId n) const {
   // table's back (the AOT path deliberately carries no per-decision check).
   // Drop the table conservatively: the VM answers every decision until the
   // next fill (reconfigure or swap) rebuilds it from the current registers.
-  if (img_ != nullptr &&
-      (!img_->aot.empty() || (img_->lazy != nullptr && img_->lazy_active))) {
+  if (img_ != nullptr && (!img_->aot.empty() || img_->kernel_active)) {
     img_->aot.clear();
-    img_->lazy_active = false;
+    img_->kernel_active = false;
     refresh_aot_view();
   }
   return *img_->machines[static_cast<std::size_t>(n)];
@@ -740,28 +772,18 @@ RuleDrivenRouting::AotTierInfo RuleDrivenRouting::aot_tier_info() const {
   info.classifier = im.classifier_used;
   info.reason = im.tier_reason;
   info.full_entries = im.full_entries;
+  for (const DecisionSlot& slot : im.slots)
+    info.vm_decisions += slot.vm_decisions;
   switch (im.tier) {
     case AotTier::Direct:
     case AotTier::Compressed:
       info.table_entries = im.aot.dims().entry_count();
       break;
-    case AotTier::Lazy: {
-      const LazyState& ls = *im.lazy;
-      info.lazy_capacity_per_node = ls.capacity;
-      // Report the allocation bound (every node touched), not the current
-      // footprint — the ratio then does not depend on traffic history.
-      info.table_entries =
-          ls.capacity * static_cast<std::uint64_t>(ls.nodes.size());
-      for (const std::unique_ptr<LazyNode>& np : ls.nodes)
-        if (np != nullptr) {
-          ++info.lazy_nodes_allocated;
-          info.lazy_hits += np->hits;
-          info.lazy_misses += np->misses;
-          info.lazy_evictions += np->evictions;
-          info.lazy_uncacheable += np->uncacheable;
-        }
+    case AotTier::Kernel:
+      info.table_entries = im.kernel->entries();
+      info.kernel_axes = im.kernel->num_axes();
+      info.kernel_bytes = im.kernel->bytes();
       break;
-    }
     case AotTier::Vm:
       break;
   }
@@ -771,55 +793,52 @@ RuleDrivenRouting::AotTierInfo RuleDrivenRouting::aot_tier_info() const {
   return info;
 }
 
-Value RuleDrivenRouting::input_by_code(InCode code, const std::string& name,
-                                       const RouteContext& ctx,
-                                       const Value* idx,
-                                       std::size_t nidx) const {
+// Inlined into both callers: the kernel reads several inputs per decision.
+[[gnu::always_inline]] inline std::int64_t RuleDrivenRouting::input_int(
+    InCode code, const RouteContext& ctx, std::int64_t index) const {
   switch (code) {
-    case InCode::Node: return Value::make_int(ctx.node);
-    case InCode::Dest: return Value::make_int(ctx.dest);
-    case InCode::Src: return Value::make_int(ctx.src);
-    case InCode::InPort: return Value::make_int(ctx.in_port);
-    case InCode::InVc:
-      return Value::make_int(std::max<VcId>(ctx.in_vc, 0));
+    case InCode::Node: return ctx.node;
+    case InCode::Dest: return ctx.dest;
+    case InCode::Src: return ctx.src;
+    case InCode::InPort: return ctx.in_port;
+    case InCode::InVc: return std::max<VcId>(ctx.in_vc, 0);
     case InCode::Injected:
-      return Value::make_bool(ctx.in_port < 0 ||
-                              ctx.in_port >= topo_->degree());
-    case InCode::PathLen: return Value::make_int(ctx.path_len);
-    case InCode::Misrouted: return Value::make_bool(ctx.misrouted);
+      return ctx.in_port < 0 || ctx.in_port >= degree_;
+    case InCode::PathLen: return ctx.path_len;
+    case InCode::Misrouted: return ctx.misrouted;
     case InCode::LinkOk: {
-      FR_REQUIRE_MSG(nidx == 1, "link_ok takes one direction index");
-      const auto p = static_cast<PortId>(idx[0].as_int());
-      if (p < 0 || p >= topo_->degree()) return Value::make_bool(false);
-      return Value::make_bool(faults_->link_usable(ctx.node, p));
+      const auto p = static_cast<PortId>(index);
+      if (p < 0 || p >= degree_) return 0;
+      return faults_->link_usable(ctx.node, p);
     }
-    case InCode::DestReachable:
-      return Value::make_bool(connected(*faults_, ctx.node, ctx.dest));
+    case InCode::DestReachable: return connected(*faults_, ctx.node, ctx.dest);
     case InCode::OnEscape:
-      return Value::make_bool(ctx.in_vc == escape_vc_ && ctx.in_port >= 0 &&
-                              ctx.in_port < topo_->degree());
-    case InCode::EscapeOk:
-      return Value::make_bool(escape_.reachable(ctx.node, ctx.dest));
+      return ctx.in_vc == escape_vc_ && ctx.in_port >= 0 &&
+             ctx.in_port < degree_;
+    case InCode::EscapeOk: return escape_.reachable(ctx.node, ctx.dest);
     case InCode::EscapePort: {
       // Deterministic escape hop; the injection port signals "none".
       if (ctx.dest == ctx.node || !escape_.reachable(ctx.node, ctx.dest))
-        return Value::make_int(topo_->degree());
+        return degree_;
       const bool on_escape = ctx.in_vc == escape_vc_ && ctx.in_port >= 0 &&
-                             ctx.in_port < topo_->degree();
+                             ctx.in_port < degree_;
       const UpDownTable::Phase phase =
           on_escape ? escape_.arrival_phase(ctx.node, ctx.in_port)
                     : UpDownTable::Phase::Up;
-      return Value::make_int(escape_.first_hop(ctx.node, ctx.dest, phase));
+      return escape_.first_hop(ctx.node, ctx.dest, phase);
     }
-    case InCode::XPos: return Value::make_int(mesh_->x_of(ctx.node));
-    case InCode::YPos: return Value::make_int(mesh_->y_of(ctx.node));
-    case InCode::XDes: return Value::make_int(mesh_->x_of(ctx.dest));
-    case InCode::YDes: return Value::make_int(mesh_->y_of(ctx.dest));
+    // Callers have checked ctx.node; dest is checked here.
+    case InCode::XPos: return coords_x_[static_cast<std::size_t>(ctx.node)];
+    case InCode::YPos: return coords_y_[static_cast<std::size_t>(ctx.node)];
+    case InCode::XDes:
+    case InCode::YDes: {
+      const auto dst = static_cast<std::size_t>(ctx.dest);
+      FR_REQUIRE_MSG(dst < coords_x_.size(), "dest outside the mesh");
+      return (code == InCode::XDes ? coords_x_ : coords_y_)[dst];
+    }
     case InCode::Unknown: break;
   }
-  FR_REQUIRE_MSG(false,
-                 "rule program input '" + name + "' is not in the host catalog");
-  return Value::make_int(0);
+  FR_UNREACHABLE("input outside the host catalog");
 }
 
 Value RuleDrivenRouting::input_raw(void* ctx, std::int32_t input_id,
@@ -828,8 +847,16 @@ Value RuleDrivenRouting::input_raw(void* ctx, std::int32_t input_id,
   FR_REQUIRE_MSG(slot->ctx != nullptr,
                  "rule program read an input outside a decision");
   const auto i = static_cast<std::size_t>(input_id);
-  return slot->owner->input_by_code(slot->input_codes[i], slot->inputs[i].name,
-                                    *slot->ctx, idx, nidx);
+  const InCode code = slot->input_codes[i];
+  FR_REQUIRE_MSG(code != InCode::Unknown, "rule program input '" +
+                                              slot->inputs[i].name +
+                                              "' is not in the host catalog");
+  std::int64_t index = 0;
+  if (code == InCode::LinkOk) {
+    FR_REQUIRE_MSG(nidx == 1, "link_ok takes one direction index");
+    index = idx[0].as_int();
+  }
+  return Value::make_int(slot->owner->input_int(code, *slot->ctx, index));
 }
 
 void RuleDrivenRouting::event_sink(void* ctx, std::int32_t name_id,
@@ -958,6 +985,8 @@ void RuleDrivenRouting::route_fallback(const RouteContext& ctx,
           ? *pending_
           : *img_;
   d = compute_route(im, ctx);
+  // compute_route checked the node; its slot is node-scoped like the rest.
+  ++im.slots[static_cast<std::size_t>(ctx.node)].vm_decisions;
 }
 
 }  // namespace flexrouter

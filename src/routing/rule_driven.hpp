@@ -35,15 +35,13 @@
 //    nodes), serves inputs/candidate events through id-resolved fast paths
 //    and runs the VM on every decision. Like Interpret it memoises nothing:
 //    it is the reference the table tiers are checked against.
-//  * ExecMode::Aot (default) is the one mode with a decision memo — the
-//    software analogue of the paper's RBR-kernel table lookup. It
-//    pre-resolves premise points (node, dest, in_port, in_vc) through the
-//    VM into decision tables — route() becomes a strided load plus a
-//    candidate copy, bit-identical to the VM by construction (the tables
-//    store what the VM answered). Tier selection walks a ladder at fill
-//    time:
-//      1. direct   — a flat LUT over the full premise space, when it fits
-//                    the entry budget (the PR 7 layout, unchanged).
+//  * ExecMode::Aot (default) serves decisions from tables. Tier selection
+//    walks a ladder at fill time:
+//      1. direct   — a flat LUT over the full premise space (node, dest,
+//                    in_port, in_vc), when it fits the entry budget: every
+//                    point pre-resolved through the VM, so route() is a
+//                    strided load plus a candidate copy, bit-identical to
+//                    the VM by construction.
 //      2. compressed — when a dest-axis classifier applies (see
 //                    ruleengine/aot_classify.hpp: xor-fold for e-cube
 //                    programs, offset-sign for DOR/NARA-style mesh
@@ -52,25 +50,33 @@
 //                    cannot. Validated point-by-point against the VM during
 //                    fill (exhaustive when the uncompressed space fits the
 //                    budget, sampled witnesses beyond); any mismatch
-//                    demotes to the lazy tier.
-//      3. lazy     — the memo: fixed-size per-node sub-tables (2-way
-//                    set-associative, tagged by premise key) filled on
-//                    first touch from the miss path, so steady-state
-//                    traffic converges to table latency without ever
-//                    paying a full 400M-point fill. Node-scoped, hence
-//                    race-free under sharded stepping; no allocation in
-//                    steady state.
-//      4. VM       — non-tabulable programs only; the chosen tier and the
-//                    reason are recorded on the image and surfaced through
-//                    aot_tier_info() (rulelint --emit-table, flexsim).
-//    One soundness analysis gates every table tier: every reachable rule
-//    base is stateless and reads only inputs determined by the premise
-//    point, the topology and the fault set. Tables are refilled for each
-//    FaultSet::epoch(). The VM answers, unmemoised, the premise points a
-//    table cannot hold (out of range, or stored with steps == 0), every
-//    decision of a rolling-commit window, and every decision after a
-//    machine() poke, which drops the tables until the next fill (the host
-//    may have changed rule registers the tables were filled from).
+//                    demotes to the kernel.
+//      3. kernel   — the paper's RBR-kernel (ruleengine/kernel.hpp): the
+//                    decision rule base compiled to its feature-axis table
+//                    (CompiledRuleBase), whose size depends on the rule base
+//                    only — 8192 entries for ft_mesh_rules at any mesh size.
+//                    Premise processing evaluates the axes through lowered
+//                    integer code over the input catalog, one lookup selects
+//                    the rule, and the rule's candidate template is filled
+//                    in. It reads every input live (link_ok, escape_* too),
+//                    so it is built once per image, not per fault epoch, and
+//                    it is read-only, so shards share it. The entry budget
+//                    does not apply (the compiler caps the table instead).
+//      4. VM       — programs the soundness analysis rejects, and programs
+//                    the kernel cannot lower when 1-2 do not fit. The chosen
+//                    tier and the reason are recorded on the image and
+//                    surfaced through aot_tier_info() (rulelint
+//                    --emit-table, flexsim).
+//    One soundness analysis gates every tier: every reachable rule base is
+//    stateless and reads only inputs determined by the premise point, the
+//    topology and the fault set. The direct and compressed tables are
+//    refilled for each FaultSet::epoch(). The VM answers, unmemoised, the
+//    premise points a table cannot hold (out of range, or stored with
+//    steps == 0), kernel decisions whose evaluation would raise (so errors
+//    stay the VM's), every decision of a rolling-commit window, and every
+//    decision after a machine() poke, which drops the tiers until the next
+//    fill (the host may have changed rule registers the tables were filled
+//    from).
 //
 // Hot swap: prepare_swap() parses, compiles and AOT-fills a complete
 // pending execution image for a new program while the active image keeps
@@ -79,9 +85,9 @@
 // a property of the host (topology + fault set), survives the swap.
 //
 // The decision cost (steps) is the number of rule interpretations the
-// decision consumed — exactly the unit Section 5 reports. AOT hits report
-// the steps of the decision they replay, keeping the paper's metric
-// intact.
+// decision consumed — exactly the unit Section 5 reports. Table hits report
+// the steps of the decision they replay and a kernel decision is one
+// interpretation, keeping the paper's metric intact.
 #pragma once
 
 #include <memory>
@@ -89,6 +95,7 @@
 #include "common/assert.hpp"
 #include "ruleengine/aot.hpp"
 #include "ruleengine/aot_classify.hpp"
+#include "ruleengine/kernel.hpp"
 #include "ruleengine/event_manager.hpp"
 #include "routing/routing.hpp"
 #include "routing/updown.hpp"
@@ -98,25 +105,23 @@ namespace flexrouter {
 
 class RuleDrivenRouting final : public RoutingAlgorithm {
  public:
-  /// Default AOT entry budget: the direct LUT, a compressed table, or the
-  /// sum of the lazy per-node sub-tables must fit this many entries (the
-  /// paper's exponential-blow-up discussion applies to the decision table
-  /// exactly as to the ARON kernel). Tests and benches narrow it with
-  /// set_aot_budget() to force the compressed / lazy tiers at small sizes.
+  /// Default AOT entry budget: the direct LUT or a compressed table must
+  /// fit this many entries (the paper's exponential-blow-up discussion
+  /// applies to the decision table exactly as to the ARON kernel, whose
+  /// own cap is CompileOptions::max_entries). Tests and benches narrow it
+  /// with set_aot_budget() to force the compressed / kernel tiers at small
+  /// sizes.
   static constexpr std::uint64_t kAotMaxEntries = std::uint64_t{1} << 22;
-  /// Floor on the lazy tier's per-node sub-table capacity (entries; the
-  /// budget divided across nodes never shrinks a sub-table below this).
-  static constexpr std::uint32_t kLazyMinPerNode = 64;
 
   /// Which execution tier serves decisions after the last fill. Vm means no
   /// table at all — the reason is recorded in aot_tier_info().reason.
-  enum class AotTier : std::uint8_t { Vm, Direct, Compressed, Lazy };
+  enum class AotTier : std::uint8_t { Vm, Direct, Compressed, Kernel };
   static const char* tier_name(AotTier t) {
     switch (t) {
       case AotTier::Vm: return "vm";
       case AotTier::Direct: return "direct";
       case AotTier::Compressed: return "compressed";
-      case AotTier::Lazy: return "lazy";
+      case AotTier::Kernel: return "kernel";
     }
     return "?";
   }
@@ -129,11 +134,18 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
     /// arithmetic, or — for the VM tier — what kept the tables off.
     std::string reason;
     std::uint64_t full_entries = 0;   // uncompressed premise-space size
-    std::uint64_t table_entries = 0;  // entries actually allocated
+    /// Entries actually allocated: the table's, or the kernel's.
+    std::uint64_t table_entries = 0;
+    /// Kernel tier: feature axes and footprint (zero elsewhere).
+    std::uint64_t kernel_axes = 0;
+    std::uint64_t kernel_bytes = 0;
     /// full_entries / table_entries (1.0 for the direct tier).
     double compression_ratio = 1.0;
-    // Lazy-tier counters (zero elsewhere).
-    std::uint64_t lazy_capacity_per_node = 0;
+    /// Decisions route() handed to the unmemoised VM on the active image:
+    /// every decision on the VM tier, the rest's fallbacks.
+    std::int64_t vm_decisions = 0;
+    /// Counters of the retired lazy memo tier, always zero; kept because
+    /// perfbench reports them.
     std::uint64_t lazy_nodes_allocated = 0;
     std::int64_t lazy_hits = 0;
     std::int64_t lazy_misses = 0;
@@ -169,28 +181,24 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
   /// Per-node machine access (tests poke state / post events).
   rules::EventManager& machine(NodeId n) const;
 
-  /// True when decisions are being served from an AOT tier (direct,
-  /// compressed or lazy tables; false also after a machine() poke dropped
-  /// the tables pending the next fill).
+  /// True when decisions are being served from an AOT tier (direct or
+  /// compressed table, or the kernel; false also after a machine() poke
+  /// dropped the tiers pending the next fill).
   bool aot_active() const {
-    return aot_view_.entries != nullptr || aot_view_.lazy != nullptr;
+    return aot_view_.entries != nullptr || aot_view_.kernel != nullptr;
   }
   /// Table statistics of the active image (empty stats when no table —
   /// fallback_fraction() reports 1.0 then). For rulelint and benches.
   rules::AotTable::Stats aot_stats() const;
   /// Tier report of the active image: which tier serves decisions, the
-  /// classifier verdict, compression ratio and lazy counters.
+  /// classifier verdict, compression ratio and kernel size.
   AotTierInfo aot_tier_info() const;
 
   /// Narrow (or widen) the AOT entry budget; effective at the next fill
   /// (attach / reconfigure / prepare_swap). Tests force the compressed and
-  /// lazy tiers at small fabric sizes this way.
+  /// kernel tiers at small fabric sizes this way.
   void set_aot_budget(std::uint64_t entries) { aot_budget_ = entries; }
   std::uint64_t aot_budget() const { return aot_budget_; }
-  /// Disable dest-class compression (benches compare the lazy tier against
-  /// the compressed one on the same program). Effective at the next fill.
-  void set_aot_compression_enabled(bool on) { compress_wanted_ = on; }
-  bool aot_compression_enabled() const { return compress_wanted_; }
 
   // --- hot swap -------------------------------------------------------------
   /// Build a complete execution image (parse, validate, compile and — in
@@ -240,7 +248,7 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
 
   /// All mutable state one in-flight decision needs, owned per node: the
   /// VM callback context. route() on node n touches only slots_[n] (plus
-  /// the node's machine and lazy sub-table), which is what makes
+  /// the node's machine), which is what makes
   /// concurrent decisions on distinct nodes race-free. The image-scoped
   /// fields the raw callbacks need (input codes and declarations, cand
   /// event id) are flattened in by value / data pointer so a slot never
@@ -254,43 +262,8 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
     RouteDecision* decision = nullptr;
     std::vector<rules::EmittedEvent> scratch;
     rules::EventManager::HostHandlerFast cand_handler;
-  };
-
-  /// One lazy sub-table slot: a tagged AOT entry. tag == 0 is empty; a
-  /// stored key k is tagged k + 1 so key 0 is representable.
-  struct LazySlot {
-    std::uint64_t tag = 0;
-    rules::AotEntry e{};
-  };
-
-  /// One node's lazy sub-table: 2-way set-associative over the node's
-  /// (dest, in_port, in_vc) premise key, filled from the miss path. All
-  /// mutation is node-scoped (a node belongs to exactly one shard), so the
-  /// lazy tier is race-free under sharded stepping for the same reason
-  /// DecisionSlot is. Counters live here, not on LazyState, for that
-  /// same reason.
-  struct LazyNode {
-    std::vector<LazySlot> slots;  // sets * 2
-    std::int64_t hits = 0;
-    std::int64_t misses = 0;
-    std::int64_t evictions = 0;
-    /// Decisions the entry encoding cannot hold (oversized candidate set,
-    /// steps out of uint16 range, mark_misrouted) — recomputed every time.
-    std::int64_t uncacheable = 0;
-  };
-
-  /// Lazy tier state: per-node sub-tables allocated on first touch, so an
-  /// idle node costs nothing. The nodes vector itself is pre-sized at
-  /// setup — first-touch allocation swaps a unique_ptr in place and never
-  /// resizes, keeping concurrent touches on distinct nodes race-free.
-  struct LazyState {
-    std::uint32_t sets = 0;          // per node; power of two
-    std::uint64_t capacity = 0;      // sets * 2, for reporting
-    std::int32_t ports = 0;          // full premise axes (key layout)
-    std::int32_t vcs = 0;
-    std::int32_t id_bound = 0;       // nodes == dests == num_nodes
-    std::uint64_t epoch = ~std::uint64_t{0};
-    std::vector<std::unique_ptr<LazyNode>> nodes;
+    /// Decisions route() handed to the VM on this node.
+    std::int64_t vm_decisions = 0;
   };
 
   /// Everything scoped to one rule program: the unit of hot swap. The
@@ -314,8 +287,9 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
     std::vector<std::unique_ptr<rules::EventManager>> machines;
     std::vector<DecisionSlot> slots;  // one per node
     // AOT tier ladder (ExecMode::Aot + tabulable only). `aot` holds the
-    // direct or compressed table; `lazy` the per-node sub-tables. The
-    // chosen tier and why are recorded for aot_tier_info().
+    // direct or compressed table; `kernel` the lowered RBR-kernel, built on
+    // first need and kept for the image's lifetime. The chosen tier and why
+    // are recorded for aot_tier_info().
     rules::AotTable aot;
     std::uint64_t aot_epoch = ~std::uint64_t{0};
     AotTier tier = AotTier::Vm;
@@ -323,8 +297,9 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
     rules::DestClassAnalysis classify;              // syntactic verdict
     rules::DestClassifier classifier_used = rules::DestClassifier::None;
     std::uint64_t full_entries = 0;  // uncompressed premise-space size
-    std::unique_ptr<LazyState> lazy;
-    bool lazy_active = false;  // false after a machine() poke
+    std::unique_ptr<const rules::RuleKernel> kernel;
+    std::string kernel_refusal;  // why the kernel could not be built
+    bool kernel_active = false;  // false after a machine() poke
   };
 
   /// Snapshot of the active image's AOT table, flattened into the routing
@@ -351,19 +326,18 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
     std::int32_t id_bound = 0;
     const std::int16_t* xs = nullptr;
     const std::int16_t* ys = nullptr;
-    /// Lazy tier (mutually exclusive with entries != nullptr). Mutable
-    /// through the view: the sub-tables are node-scoped (see LazyNode).
-    LazyState* lazy = nullptr;
+    /// Kernel tier (mutually exclusive with entries != nullptr).
+    const rules::RuleKernel* kernel = nullptr;
   };
 
-  /// Serve one input from the host catalog; `name` only labels the
-  /// contract error for an input the catalog does not serve.
-  rules::Value input_by_code(InCode code, const std::string& name,
-                             const RouteContext& ctx, const rules::Value* idx,
-                             std::size_t nidx) const;
-  /// Raw VM callbacks for the decision path (ctx = DecisionSlot*). The
-  /// name-keyed Interpret/Table provider resolves the name to its input id
-  /// and calls input_raw too.
+  /// The host input catalog: serve one input as an integer (booleans are
+  /// 0/1). `index` is link_ok's direction; other inputs take none. `code`
+  /// is never Unknown (callers reject those first, naming the input).
+  std::int64_t input_int(InCode code, const RouteContext& ctx,
+                         std::int64_t index) const;
+  /// Raw VM callbacks for the decision path (ctx = DecisionSlot*). input_raw
+  /// wraps input_int; the name-keyed Interpret/Table provider resolves the
+  /// name to its input id and calls input_raw too.
   static rules::Value input_raw(void* ctx, std::int32_t input_id,
                                 const rules::Value* idx, std::size_t nidx);
   static void event_sink(void* ctx, std::int32_t name_id,
@@ -372,23 +346,24 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
   void add_candidate(RouteDecision& d, PortId port, VcId vc, int prio) const;
   std::unique_ptr<Image> build_image(std::string program_source) const;
   /// (Re)fill the image's AOT tier for the current fault epoch; no-op when
-  /// the image is not AOT-eligible or the tables are already fresh. Walks
-  /// the tier ladder: direct -> compressed -> lazy -> VM.
+  /// the image is not AOT-eligible, its table is already fresh or the
+  /// kernel serves it. Walks the tier ladder: direct -> compressed ->
+  /// kernel -> VM.
   void fill_aot(Image& im) const;
   /// Fill `im.aot` as a direct LUT over the full premise space.
   void fill_direct(Image& im, const rules::AotTable::Dims& dims) const;
   /// Fill `im.aot` in the compressed layout for `im.classify.kind` and
   /// validate it against the VM. Returns false (leaving the table cleared)
-  /// on any validation mismatch — caller demotes to lazy.
+  /// on any validation mismatch — caller demotes to the kernel.
   bool fill_compressed(Image& im, const rules::AotTable::Dims& full) const;
-  /// (Re)initialise the lazy tier: size the sub-tables from the budget and
-  /// clear any stale contents (buffers are kept across epochs).
-  void setup_lazy(Image& im, const rules::AotTable::Dims& full) const;
-  /// Lazy-tier miss: compute through the VM, store when the entry encoding
-  /// can hold the decision, and fill `d`. Out of line — the hit path stays
-  /// small enough to inline.
-  void route_lazy_miss(const RouteContext& ctx, RouteDecision& d,
-                       std::uint64_t key) const;
+  /// Compile and lower the decision rule base into `im.kernel` unless that
+  /// was done (or refused, reason in `im.kernel_refusal`) before. True when
+  /// the image has a kernel.
+  bool build_kernel(Image& im) const;
+  /// Kernel tier: fill `d` (fresh) and return true, or return false when an
+  /// evaluation would raise or the premise point is out of range — the
+  /// caller then hands the decision to route_fallback().
+  bool route_kernel(const RouteContext& ctx, RouteDecision& d) const;
   /// Re-point aot_view_ at the active image's table (null when it has
   /// none). Call after anything that changes img_ or its table.
   void refresh_aot_view() const;
@@ -404,10 +379,10 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
   VcId escape_vc_;
   UpDownTable escape_;
   const Topology* topo_ = nullptr;
+  int degree_ = 0;              // topo_->degree(), cached at attach()
   const Mesh* mesh_ = nullptr;  // non-null on 2-D meshes
   const FaultSet* faults_ = nullptr;
   std::uint64_t aot_budget_ = kAotMaxEntries;
-  bool compress_wanted_ = true;
   /// Node coordinates flattened for the OffsetSign2D hot path (2-D meshes
   /// only; empty otherwise). Host-scoped: rebuilt at attach().
   std::vector<std::int16_t> coords_x_;
@@ -499,52 +474,10 @@ inline RouteDecision RuleDrivenRouting::route(const RouteContext& ctx) const {
         return d;
       }
     }
-  } else if (av.lazy != nullptr) {
-    LazyState& ls = *av.lazy;
-    FR_REQUIRE_MSG(ls.epoch == faults_->epoch(),
-                   "stale lazy AOT tier: reconfigure() missed an epoch");
-    if (static_cast<std::uint32_t>(ctx.node) <
-            static_cast<std::uint32_t>(ls.id_bound) &&
-        static_cast<std::uint32_t>(ctx.dest) <
-            static_cast<std::uint32_t>(ls.id_bound) &&
-        static_cast<std::uint32_t>(pa) < static_cast<std::uint32_t>(ls.ports) &&
-        static_cast<std::uint32_t>(va) < static_cast<std::uint32_t>(ls.vcs)) {
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(ctx.dest) *
-               static_cast<std::uint64_t>(ls.ports) +
-           static_cast<std::uint64_t>(pa)) *
-              static_cast<std::uint64_t>(ls.vcs) +
-          static_cast<std::uint64_t>(va);
-      LazyNode* ln = ls.nodes[static_cast<std::size_t>(ctx.node)].get();
-      if (ln != nullptr) {
-        // 2-way probe: Fibonacci-hash the key, check both ways of the set.
-        const std::uint64_t h = (key * 0x9E3779B97F4A7C15ull) >> 32;
-        const std::uint64_t base =
-            (h & (static_cast<std::uint64_t>(ls.sets) - 1)) * 2;
-        const std::uint64_t tag = key + 1;  // 0 = empty slot
-        const LazySlot* s = &ln->slots[static_cast<std::size_t>(base)];
-        if (s->tag != tag) {
-          ++s;
-          if (s->tag != tag) s = nullptr;
-        }
-        if (s != nullptr) {
-          // Lazy entries are inline-only (route_lazy_miss never stores an
-          // arena decision), so the hit unpack has no arena branch.
-          const rules::AotEntry e = s->e;
-          RouteCandidate* dst = d.candidates.resize_for_overwrite(e.count);
-          for (std::uint32_t i = 0; i < rules::AotEntry::kInlineCands; ++i) {
-            dst[i].port = e.inl[i].port;
-            dst[i].vc = e.inl[i].vc;
-            dst[i].priority = e.inl[i].priority;
-          }
-          d.steps = e.steps;
-          ++ln->hits;
-          return d;
-        }
-      }
-      route_lazy_miss(ctx, d, key);
-      return d;
-    }
+  } else if (av.kernel != nullptr) {
+    // The kernel fills `d` in place; a decision whose evaluation would
+    // raise falls through to the VM, which raises as it always has.
+    if (route_kernel(ctx, d)) return d;
   }
   route_fallback(ctx, d);
   return d;

@@ -149,8 +149,8 @@ std::vector<TableReport> emit_table_corpus() {
   };
   // The runnable decision programs at the sizes the differential tests and
   // benches use, plus the 4096-node fabrics the tier ladder exists for
-  // (64x64 meshes and 12-cubes blow the direct budget; the compressed and
-  // lazy tiers must absorb them). Each AOT-compiles against its own
+  // (64x64 meshes and 12-cubes blow the direct budget; the compressed
+  // tables and the kernel must absorb them). Each AOT-compiles against its own
   // topology (topology_of on the program's constants) with a clean fault
   // set.
   const Case cases[] = {
@@ -187,11 +187,12 @@ std::vector<TableReport> emit_table_corpus() {
     rep.tier_reason = ti.reason;
     rep.full_entries = ti.full_entries;
     rep.compression_ratio = ti.compression_ratio;
-    if (ti.tier == RuleDrivenRouting::AotTier::Lazy) {
-      // The lazy tier has no eager fill to account: report the allocation
-      // bound (the budget split across nodes) as the table size.
+    if (ti.tier == RuleDrivenRouting::AotTier::Kernel) {
+      // The kernel has no premise-point fill to account: report its table
+      // and the footprint of table, lowered code and templates.
       rep.entries = ti.table_entries;
-      rep.bytes = ti.table_entries * sizeof(rules::AotEntry);
+      rep.axes = ti.kernel_axes;
+      rep.bytes = ti.kernel_bytes;
       rep.fallback_fraction = 0.0;
     } else {
       const rules::AotTable::Stats st = algo.aot_stats();
@@ -222,10 +223,10 @@ std::string to_string(const std::vector<TableReport>& reports) {
     if (r.compression_ratio > 1.0)
       os << " " << r.compression_ratio << "x compression";
     os << ", ";
-    if (r.tier == "lazy") {
-      os << r.entries << " entries allocated (of " << r.full_entries
-         << " premise points; filled on first touch), " << r.bytes
-         << " bytes\n";
+    if (r.tier == "kernel") {
+      os << r.entries << " entries over " << r.axes
+         << " feature axes (serving " << r.full_entries
+         << " premise points), " << r.bytes << " bytes\n";
       continue;
     }
     os << r.entries << " entries (" << r.resolved << " resolved, "

@@ -66,19 +66,20 @@ FaultCertCorpusResult fault_cert_corpus(const FaultCertOptions& opts = {});
 struct TableReport {
   std::string program;            // program @ the topology it was built for
   bool active = false;            // a table tier is serving (analysis
-                                  // accepted; direct, compressed or lazy)
-  std::string tier = "vm";        // chosen tier: vm/direct/compressed/lazy
+                                  // accepted; direct, compressed or kernel)
+  std::string tier = "vm";        // chosen tier: vm/direct/compressed/kernel
   std::string classifier = "none";  // dest-class classifier, if any
   std::string tier_reason;        // why this tier (budget arithmetic,
                                   // classifier verdict, VM keep-alive cause)
   std::uint64_t full_entries = 0;  // uncompressed premise-space size
   double compression_ratio = 1.0;  // full_entries / allocated entries
   std::uint64_t entries = 0;      // premise points tabulated (direct and
-                                  // compressed; lazy allocation bound)
+                                  // compressed); kernel table entries
+  std::uint64_t axes = 0;         // kernel feature axes
   std::uint64_t resolved = 0;     // entries with a stored decision
   std::uint64_t unreachable = 0;  // points no packet can present
   std::uint64_t fallback = 0;     // presentable points left to the VM
-  std::uint64_t bytes = 0;        // entries + arena footprint
+  std::uint64_t bytes = 0;        // entries + arena (kernel: table + code)
   double fallback_fraction = 1.0;
 };
 
@@ -86,9 +87,8 @@ struct TableReport {
 /// the differential tests use AND at the 4096-node scale (64x64 meshes,
 /// 12-cubes) — and report its table. The shipped-corpus gate: each report
 /// must reach a non-VM tier, and the eager tiers (direct/compressed) must
-/// leave zero presentable premise points to the VM fallback. The lazy tier
-/// fills from the miss path, so its fallback counter is structurally zero
-/// only after traffic; the gate checks tier, not fill state, there.
+/// leave zero presentable premise points to the VM fallback. The kernel
+/// resolves every point by construction; the gate checks its tier only.
 std::vector<TableReport> emit_table_corpus();
 
 std::string to_string(const std::vector<TableReport>& reports);

@@ -75,6 +75,9 @@ Network::Network(const Topology& topo, RoutingAlgorithm& algo,
     sh.ejects.reserve(sn + 8);
     sh.drops.reserve(32);
     sh.spans.reserve(sn);
+    for (const NodeId u : plan_.nodes[static_cast<std::size_t>(s)])
+      routers_[static_cast<std::size_t>(u)]->set_movement_counter(
+          &sh.flit_movements);
   }
   // In-shard links report themselves to their shard's busy list when they
   // turn busy. Boundary links (endpoints in different shards) stage their
@@ -720,9 +723,7 @@ std::int64_t Network::total_flit_movements() const {
   // Dropped flits count as movement: truncation progress must reset the
   // deadlock watchdog's stall counter exactly like delivery progress.
   std::int64_t total = network_dropped_flits_;
-  for (const auto& r : routers_)
-    total += r->stats().flits_forwarded + r->stats().flits_ejected +
-             r->stats().flits_dropped;
+  for (const Shard& sh : shards_) total += sh.flit_movements;
   return total;
 }
 

@@ -300,6 +300,9 @@ class Network {
       std::uint32_t eject_begin, eject_end, drop_begin, drop_end;
     };
     std::vector<RouterSpan> spans;
+    /// Flit movements of the shard's routers (their set_movement_counter
+    /// target), on its own cache line: shards step concurrently.
+    alignas(64) std::int64_t flit_movements = 0;
   };
 
   /// Parallel phase of one shard: inject, step routers, maintain the

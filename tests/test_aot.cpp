@@ -17,9 +17,13 @@
 //  * Quiescent swap accounting: a real program change drains, commits, and
 //    loses nothing.
 //  * Tier ladder: a narrowed budget forces the compressed (classifier) or
-//    lazy (per-node sub-table) tier, which must stay in lockstep with the
-//    direct table and the VM over the full premise space; a second identical
-//    pass over the lazy tier's working set allocates nothing.
+//    kernel (compiled rule table) tier, which must stay in lockstep with
+//    the direct table and the VM over the full premise space.
+//  * Kernel: forced on every runnable corpus program (8x8 meshes, 6-cube),
+//    it must match the bare VM on every premise point before and after
+//    seeded faults, and on sampled 64x64 ft_mesh points around a dead link
+//    (escape_port conclusions); a second pass over a working set allocates
+//    nothing and never reaches the VM.
 //  * Rolling swap commits: per-shard commits produce bit-identical
 //    SimResults at 1/2/4/8 execution shards and gate strictly fewer
 //    node-cycles than a quiescent drain of the same swap.
@@ -33,6 +37,7 @@
 #include "common/rng.hpp"
 #include "routing/rule_driven.hpp"
 #include "rulebases/corpus.hpp"
+#include "ruleengine/parser.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
@@ -179,8 +184,8 @@ INSTANTIATE_TEST_SUITE_P(Corpus, AotCorpusLockstep, ::testing::Range(0, 4),
 // ------------------------------------------------------ forced tier ladder
 // Halving the budget below the full premise space forces the fill off the
 // direct tier: onto the compressed table where a classifier applies
-// (nara -> offset-sign, ecube/ecube_msb -> xor-fold), onto the lazy
-// sub-tables where none does (ft_mesh reads escape_port). Either way the
+// (nara -> offset-sign, ecube/ecube_msb -> xor-fold), onto the kernel
+// where none does (ft_mesh reads escape_port). Either way the
 // forced tier must stay in lockstep with the direct table and the VM over
 // the complete premise space, fault-free and after link kills.
 class AotForcedTierLockstep : public ::testing::TestWithParam<int> {};
@@ -210,9 +215,8 @@ TEST_P(AotForcedTierLockstep, ForcedTierAgreesWithDirectAndVm) {
     EXPECT_GT(ti.compression_ratio, 1.0);
     EXPECT_EQ(forced.aot_stats().fallback, 0u);
   } else {
-    EXPECT_EQ(ti.tier, RuleDrivenRouting::AotTier::Lazy) << ti.reason;
-    EXPECT_GE(ti.lazy_capacity_per_node,
-              RuleDrivenRouting::kLazyMinPerNode);
+    EXPECT_EQ(ti.tier, RuleDrivenRouting::AotTier::Kernel) << ti.reason;
+    EXPECT_GT(ti.compression_ratio, 1.0);
   }
   ASSERT_TRUE(forced.aot_active());
 
@@ -235,81 +239,211 @@ INSTANTIATE_TEST_SUITE_P(Corpus, AotForcedTierLockstep,
                                corpus_cases()[info.param].name);
                          });
 
-// The lazy tier must converge: a second identical pass over a working set
-// that fits the sub-tables is pure hits — no new misses, no evictions and
-// (the steady-state property the tier exists for) no heap allocation.
-TEST(AotLazyTier, SecondPassOverWorkingSetAllocatesNothing) {
-  Mesh m = Mesh::two_d(8, 8);
-  FaultSet f(m);
-  RuleDrivenRouting vm(rulebases::ft_mesh_route_source(8, 8), 3,
-                       ExecMode::Vm, "route", /*escape_vc=*/2);
-  RuleDrivenRouting lazy(rulebases::ft_mesh_route_source(8, 8), 3,
-                         ExecMode::Aot, "route", /*escape_vc=*/2);
-  vm.attach(m, f);
-  // ft_mesh rejects both classifiers (escape_port reads raw dest bits), so
-  // an over-narrow budget lands on the lazy tier directly.
-  lazy.set_aot_budget(1 << 15);
-  lazy.attach(m, f);
-  ASSERT_EQ(lazy.aot_tier_info().tier, RuleDrivenRouting::AotTier::Lazy)
-      << lazy.aot_tier_info().reason;
+// ---------------------------------------------------------------- kernel
+// The runnable corpus on 8x8 meshes and the 6-cube, and a premise that
+// reads escape_port.
+std::vector<CorpusCase> kernel_cases() {
+  std::vector<CorpusCase> cases;
+  cases.push_back({"nara_8x8", rulebases::nara_route_source(8, 8), 2, -1,
+                   std::make_unique<Mesh>(std::vector<int>{8, 8})});
+  cases.push_back({"ft_mesh_8x8", rulebases::ft_mesh_route_source(8, 8), 3, 2,
+                   std::make_unique<Mesh>(std::vector<int>{8, 8})});
+  cases.push_back({"ecube_6cube", rulebases::ecube_route_source(6), 1, -1,
+                   std::make_unique<Hypercube>(6)});
+  cases.push_back({"ecube_msb_6cube", rulebases::ecube_msb_route_source(6), 1,
+                   -1, std::make_unique<Hypercube>(6)});
+  // escape_port in a premise: the VM raises where an escape-VC arrival has
+  // no legal down hop, and it evaluates the atom before the in_port test
+  // that makes it irrelevant. The kernel must not skip the read there.
+  cases.push_back({"escape_premise_8x8",
+                   "PROGRAM escape_premise;\n"
+                   "INPUT xpos IN 0 TO 7\n"
+                   "INPUT ypos IN 0 TO 7\n"
+                   "INPUT xdes IN 0 TO 7\n"
+                   "INPUT ydes IN 0 TO 7\n"
+                   "INPUT in_port IN 0 TO 4\n"
+                   "INPUT escape_port IN 0 TO 4\n"
+                   "ON route\n"
+                   "  IF xpos = xdes AND ypos = ydes THEN !cand(4, 0, 0);\n"
+                   "  IF escape_port < 4 AND in_port = 0\n"
+                   "    THEN !cand(escape_port, 2, 0);\n"
+                   "  IF xpos >= 0 THEN !cand(4, 0, 1);\n"
+                   "END route;\n",
+                   3, 2, std::make_unique<Mesh>(std::vector<int>{8, 8})});
+  return cases;
+}
 
-  // A bounded per-node working set (8 dests x every arrival). Only storable
-  // points are kept: throwing and non-inline-packable decisions recompute
-  // through the VM on every touch by design, which would read as "misses"
-  // below. The first pass fills the sub-tables, checks VM identity, and
-  // records the storable contexts so the measured second pass can drive the
-  // lazy engine alone.
-  std::vector<RouteContext> working_set;
-  for (NodeId n = 0; n < m.num_nodes(); ++n) {
-    for (int k = 1; k <= 8; ++k) {
-      for (PortId p = -1; p <= m.degree(); ++p) {
+/// The route rule base's compiled table size: what the kernel tier serves.
+std::uint64_t kernel_entries(const std::string& source) {
+  const rules::Program prog = rules::parse_program(source);
+  rules::Interpreter interp(prog);
+  return rules::compile_rule_base(prog, prog.rule_base("route"), interp)
+      .table_entries();
+}
+
+/// Kernel vs bare VM over the full premise space (same decision, same
+/// steps, or the same throw).
+void lockstep_kernel(const Topology& topo, const RuleDrivenRouting& vm,
+                     const RuleDrivenRouting& kernel, int vcs) {
+  for (NodeId n = 0; n < topo.num_nodes(); ++n)
+    for (NodeId dst = 0; dst < topo.num_nodes(); ++dst)
+      for (PortId p = -1; p <= topo.degree(); ++p)
+        for (VcId v = -1; v < vcs; ++v) {
+          RouteContext ctx;
+          ctx.node = n;
+          ctx.dest = dst;
+          ctx.src = n;
+          ctx.in_port = p;
+          ctx.in_vc = v;
+          ASSERT_NO_FATAL_FAILURE(expect_same(route_point(vm, ctx),
+                                              route_point(kernel, ctx),
+                                              "kernel", ctx));
+        }
+}
+
+class AotKernelLockstep : public ::testing::TestWithParam<int> {};
+
+// A budget of one entry keeps every premise-keyed table off, so the ladder
+// lands on the kernel, whose size the budget does not bound.
+TEST_P(AotKernelLockstep, KernelMatchesBareVmOnEveryPremisePoint) {
+  CorpusCase cs = std::move(kernel_cases()[GetParam()]);
+  SCOPED_TRACE(cs.name);
+  FaultSet f(*cs.topo);
+  RuleDrivenRouting vm(cs.source, cs.vcs, ExecMode::Vm, "route",
+                       cs.escape_vc);
+  RuleDrivenRouting kernel(cs.source, cs.vcs, ExecMode::Aot, "route",
+                           cs.escape_vc);
+  kernel.set_aot_budget(1);
+  vm.attach(*cs.topo, f);
+  kernel.attach(*cs.topo, f);
+  const RuleDrivenRouting::AotTierInfo ti = kernel.aot_tier_info();
+  ASSERT_EQ(ti.tier, RuleDrivenRouting::AotTier::Kernel) << ti.reason;
+  EXPECT_EQ(ti.table_entries, kernel_entries(cs.source));
+  EXPECT_GT(ti.kernel_axes, 0u);
+  ASSERT_TRUE(kernel.aot_active());
+
+  lockstep_kernel(*cs.topo, vm, kernel, cs.vcs);
+
+  Rng rng(11);
+  inject_random_link_faults(f, 4, rng);
+  vm.reconfigure();
+  kernel.reconfigure();
+  ASSERT_TRUE(kernel.aot_active());
+  EXPECT_EQ(kernel.aot_tier_info().tier, RuleDrivenRouting::AotTier::Kernel);
+  lockstep_kernel(*cs.topo, vm, kernel, cs.vcs);
+}
+
+INSTANTIATE_TEST_SUITE_P(Corpus, AotKernelLockstep, ::testing::Range(0, 5),
+                         [](const auto& info) {
+                           return std::string(
+                               kernel_cases()[info.param].name);
+                         });
+
+// The 4096-node fabric the kernel exists for, with one dead link: every
+// premise point at the link's two endpoints (where packets take the escape
+// layer through `!cand(escape_port, 2, 0)`) plus random points elsewhere.
+TEST(AotKernelTier, FtMesh64x64MatchesBareVmAroundADeadLink) {
+  Mesh m = Mesh::two_d(64, 64);
+  FaultSet f(m);
+  const NodeId a = m.at(20, 33);
+  f.fail_link(a, /*port=*/0);  // east
+  const NodeId b = m.neighbor(a, 0);
+  const std::string source = rulebases::ft_mesh_route_source(64, 64);
+  RuleDrivenRouting vm(source, 3, ExecMode::Vm, "route", /*escape_vc=*/2);
+  RuleDrivenRouting kernel(source, 3, ExecMode::Aot, "route",
+                           /*escape_vc=*/2);
+  vm.attach(m, f);
+  kernel.attach(m, f);
+  ASSERT_EQ(kernel.aot_tier_info().tier, RuleDrivenRouting::AotTier::Kernel)
+      << kernel.aot_tier_info().reason;
+
+  std::int64_t entered_escape = 0;  // off the escape VC, onto it
+  const auto check = [&](const RouteContext& ctx) {
+    const PointResult want = route_point(vm, ctx);
+    const PointResult got = route_point(kernel, ctx);
+    expect_same(want, got, "kernel", ctx);
+    if (!want.threw && ctx.in_vc != 2 && !want.d.candidates.empty() &&
+        want.d.candidates[0].vc == 2)
+      ++entered_escape;
+  };
+  for (const NodeId n : {a, b})
+    for (NodeId dst = 0; dst < m.num_nodes(); ++dst)
+      for (PortId p = -1; p <= m.degree(); ++p)
         for (VcId v = -1; v < 3; ++v) {
           RouteContext ctx;
           ctx.node = n;
-          ctx.dest = (n + k * 7) % m.num_nodes();
+          ctx.dest = dst;
+          ctx.src = n;
+          ctx.in_port = p;
+          ctx.in_vc = v;
+          check(ctx);
+          if (::testing::Test::HasFailure()) return;
+        }
+  Rng rng(64);
+  for (int i = 0; i < 20000; ++i) {
+    RouteContext ctx;
+    ctx.node = static_cast<NodeId>(rng.next_below(4096));
+    ctx.dest = static_cast<NodeId>(rng.next_below(4096));
+    ctx.src = ctx.node;
+    ctx.in_port = static_cast<PortId>(rng.next_below(6)) - 1;
+    ctx.in_vc = static_cast<VcId>(rng.next_below(4)) - 1;
+    check(ctx);
+    if (::testing::Test::HasFailure()) return;
+  }
+  // The endpoints send their dy = 0 traffic across the dead link into the
+  // escape layer: 43 dests east of `a`, 20 west of `b`, every arrival.
+  EXPECT_GT(entered_escape, 63);
+}
+
+// The kernel memoises nothing, so its steady state is its first pass: a
+// second pass over a working set of decisions must never reach the VM and
+// (the steady-state property) never touch the heap.
+TEST(AotKernelTier, SecondPassAllocatesNothingAndNeverFallsBack) {
+  Mesh m = Mesh::two_d(8, 8);
+  FaultSet f(m);
+  f.fail_link(m.at(3, 3), /*port=*/2);
+  const std::string source = rulebases::ft_mesh_route_source(8, 8);
+  RuleDrivenRouting vm(source, 3, ExecMode::Vm, "route", /*escape_vc=*/2);
+  RuleDrivenRouting kernel(source, 3, ExecMode::Aot, "route",
+                           /*escape_vc=*/2);
+  kernel.set_aot_budget(1 << 15);  // below the 98304-point direct table
+  vm.attach(m, f);
+  kernel.attach(m, f);
+  ASSERT_EQ(kernel.aot_tier_info().tier, RuleDrivenRouting::AotTier::Kernel)
+      << kernel.aot_tier_info().reason;
+
+  // Every decision the VM answers without throwing; the throwing points
+  // are the VM's by design.
+  std::vector<RouteContext> working_set;
+  for (NodeId n = 0; n < m.num_nodes(); ++n)
+    for (NodeId dst = 0; dst < m.num_nodes(); ++dst)
+      for (PortId p = -1; p <= m.degree(); ++p)
+        for (VcId v = -1; v < 3; ++v) {
+          RouteContext ctx;
+          ctx.node = n;
+          ctx.dest = dst;
           ctx.src = n;
           ctx.in_port = p;
           ctx.in_vc = v;
           const PointResult want = route_point(vm, ctx);
-          if (want.threw || want.d.mark_misrouted ||
-              want.d.candidates.size() > rules::AotEntry::kInlineCands)
-            continue;
+          if (want.threw) continue;
           working_set.push_back(ctx);
-          const PointResult got = route_point(lazy, ctx);
-          expect_same(want, got, "lazy", ctx);
+          expect_same(want, route_point(kernel, ctx), "kernel", ctx);
         }
-      }
-    }
-  }
-  ASSERT_FALSE(::testing::Test::HasFatalFailure());
-  const std::int64_t swept = static_cast<std::int64_t>(working_set.size());
-  const RuleDrivenRouting::AotTierInfo warm = lazy.aot_tier_info();
-  EXPECT_GT(warm.lazy_misses, 0);
-  EXPECT_GT(warm.lazy_nodes_allocated, 0u);
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  ASSERT_GT(working_set.size(), 50000u);
+  EXPECT_EQ(kernel.aot_tier_info().vm_decisions, 0);
 
   const std::int64_t allocs_before = heap_alloc_count();
+  std::size_t candidates = 0;
   for (const RouteContext& ctx : working_set)
-    route_point(lazy, ctx);  // second pass: hits, bar set conflicts
+    candidates += kernel.route(ctx).candidates.size();
   const std::int64_t allocs_after = heap_alloc_count();
-  const RuleDrivenRouting::AotTierInfo converged = lazy.aot_tier_info();
-  // 2-way sets leave a residue of conflict misses (three keys hashed into
-  // one set evict each other forever); convergence means the second pass
-  // hits for all but that residue — bound it at 2% of the working set.
-  const std::int64_t second_pass_misses =
-      converged.lazy_misses - warm.lazy_misses;
-  EXPECT_LT(second_pass_misses, swept / 50)
-      << "second pass missed broadly: the working set did not converge";
-  EXPECT_GT(converged.lazy_hits - warm.lazy_hits, swept * 9 / 10);
-  // The steady-state property the tier exists for: serving a stored entry
-  // never touches the heap (RouteDecision is a StaticVector; the sub-table
-  // probe is a strided load). Only the conflict residue may allocate — a
-  // recompute re-runs the VM, which builds its evaluation state on the
-  // heap — so the delta is bounded per miss, not per point. A hit-path
-  // allocation would scale with `swept` and blow through this bound.
+  EXPECT_GT(candidates, working_set.size());
+  EXPECT_EQ(kernel.aot_tier_info().vm_decisions, 0);
   if (heap_alloc_counting_enabled()) {
-    EXPECT_LE(allocs_after - allocs_before, second_pass_misses * 64)
-        << "lazy hit path touched the heap (" << swept << " points, "
-        << second_pass_misses << " conflict misses)";
+    EXPECT_EQ(allocs_after - allocs_before, 0)
+        << "kernel route() touched the heap";
   }
 }
 

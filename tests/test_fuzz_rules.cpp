@@ -3,7 +3,7 @@
 // compiled ARON tables; any divergence in selected rule, state effects,
 // emitted events or RETURN values is a compiler bug. Also fuzzes the lexer/
 // parser for crash-freedom on corrupted sources, and the compressed AOT
-// tier against the VM on randomly generated classifier-eligible routing
+// tier and the RBR-kernel tier against the VM on randomly generated routing
 // programs.
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include "ruleengine/event_manager.hpp"
 #include "ruleengine/lexer.hpp"
 #include "ruleengine/parser.hpp"
+#include "sim/fault_injector.hpp"
 #include "topology/hypercube.hpp"
 
 namespace flexrouter::rules {
@@ -498,6 +499,188 @@ TEST(CompressedFuzz, XorFoldProgramsMatchVmOverFullPremiseSpace) {
     }
   }
   EXPECT_GT(compressed, 15);
+}
+
+// ------------------------------------------------- kernel-tier routing fuzz
+// Random decision programs over the whole lowered subset: arithmetic,
+// comparisons and builtins in the premises, a computed link_ok index,
+// costly (deferred) dest_reachable atoms, and templates whose slots are
+// expressions — or a RETURN. A budget of one entry keeps the premise-keyed
+// tables off, so each program runs on the kernel, which must then match
+// the bare VM over the full premise space (decision, steps, or the throw)
+// before and after link faults.
+class KernelRouteGenerator {
+ public:
+  explicit KernelRouteGenerator(std::uint64_t seed) : rng_(seed) {}
+
+  std::string generate() {
+    const bool returns = rng_.next_bool(0.3);
+    std::ostringstream os;
+    os << "PROGRAM fuzzkernel;\n"
+       << "CONSTANT dim = " << kDim << "\n"
+       << "CONSTANT maxnode = " << ((1 << kDim) - 1) << "\n"
+       << "INPUT node IN 0 TO maxnode\n"
+       << "INPUT dest IN 0 TO maxnode\n"
+       << "INPUT in_port IN 0 TO dim\n"
+       << "INPUT in_vc IN 0 TO 1\n"
+       << "INPUT injected IN 0 TO 1\n"
+       << "INPUT dest_reachable IN 0 TO 1\n"
+       << "INPUT link_ok(dim) IN 0 TO 1\n"
+       << "ON route" << (returns ? " RETURNS 0 TO dim" : "") << "\n";
+    const int rules = 2 + static_cast<int>(rng_.next_below(5));
+    for (int r = 0; r < rules; ++r)
+      os << "  IF " << premise() << " THEN "
+         << (returns && rng_.next_bool(0.5) ? ret() : conclusion()) << ";\n";
+    os << "  IF in_vc >= 0 THEN !cand(dim, 0, 0);\n"
+       << "END route;\n";
+    return os.str();
+  }
+
+  static constexpr int kDim = 3;
+
+ private:
+  std::string premise() {
+    const int atoms = 1 + static_cast<int>(rng_.next_below(3));
+    std::ostringstream os;
+    for (int i = 0; i < atoms; ++i) {
+      if (i) os << (rng_.next_bool(0.7) ? " AND " : " OR ");
+      if (rng_.next_bool(0.1)) os << "NOT ";
+      switch (rng_.next_below(9)) {
+        case 0:
+          os << "bit(xor(node, dest), " << rng_.next_below(kDim)
+             << ") = " << rng_.next_below(2);
+          break;
+        case 1:
+          os << "in_vc = " << rng_.next_below(2);
+          break;
+        case 2:
+          os << "in_port " << cmp() << " " << rng_.next_below(kDim + 1);
+          break;
+        case 3:
+          os << "link_ok(" << rng_.next_below(kDim) << ") = 1";
+          break;
+        case 4:
+          os << "link_ok(in_port MOD dim) = " << rng_.next_below(2);
+          break;
+        case 5:
+          os << "(node + dest) MOD " << 2 + rng_.next_below(3) << " "
+             << cmp() << " " << rng_.next_below(2);
+          break;
+        case 6:
+          os << "dest_reachable = " << rng_.next_below(2);
+          break;
+        case 7:
+          os << (rng_.next_bool(0.5) ? "min" : "max") << "(node, dest) "
+             << cmp() << " " << rng_.next_below(8);
+          break;
+        default:
+          os << "node " << cmp() << " dest";
+          break;
+      }
+    }
+    return os.str();
+  }
+
+  std::string slot(int bound) {
+    switch (rng_.next_below(4)) {
+      case 0: return "min(in_vc, " + std::to_string(bound - 1) + ")";
+      case 1: return "xor(node, dest) MOD " + std::to_string(bound);
+      case 2: return "injected";
+      default: return std::to_string(rng_.next_below(bound));
+    }
+  }
+
+  std::string conclusion() {
+    const int cands = 1 + static_cast<int>(rng_.next_below(3));
+    std::ostringstream os;
+    for (int i = 0; i < cands; ++i) {
+      if (i) os << ", ";
+      os << "!cand(" << slot(kDim + 1) << ", " << slot(2) << ", "
+         << (rng_.next_bool(0.5) ? "popcount(xor(node, dest))"
+                                 : std::to_string(rng_.next_below(4)))
+         << ")";
+    }
+    return os.str();
+  }
+
+  std::string ret() { return "RETURN(" + slot(kDim + 1) + ")"; }
+
+  std::string cmp() {
+    static const char* ops[] = {"=", "<>", "<", "<=", ">", ">="};
+    return ops[rng_.next_below(6)];
+  }
+
+  Rng rng_;
+};
+
+TEST(KernelFuzz, RandomRoutingProgramsMatchVmOnTheKernel) {
+  constexpr int kDim = KernelRouteGenerator::kDim;
+  flexrouter::Hypercube topo(kDim);
+  const auto route = [](const flexrouter::RuleDrivenRouting& algo,
+                        const flexrouter::RouteContext& ctx,
+                        flexrouter::RouteDecision& d) {
+    try {
+      d = algo.route(ctx);
+      return std::string();
+    } catch (const ContractViolation& e) {
+      return std::string(e.what());
+    } catch (const EvalError& e) {
+      return std::string(e.what());
+    }
+  };
+  const auto lockstep = [&](const flexrouter::RuleDrivenRouting& vm,
+                            const flexrouter::RuleDrivenRouting& kernel) {
+    for (flexrouter::NodeId n = 0; n < topo.num_nodes(); ++n)
+      for (flexrouter::NodeId dst = 0; dst < topo.num_nodes(); ++dst)
+        for (flexrouter::PortId p = -1; p <= topo.degree(); ++p)
+          for (flexrouter::VcId v = -1; v < 2; ++v) {
+            flexrouter::RouteContext ctx;
+            ctx.node = n;
+            ctx.dest = dst;
+            ctx.src = n;
+            ctx.in_port = p;
+            ctx.in_vc = v;
+            flexrouter::RouteDecision want, got;
+            const std::string want_err = route(vm, ctx, want);
+            const std::string got_err = route(kernel, ctx, got);
+            const std::string at = "node=" + std::to_string(n) +
+                                   " dest=" + std::to_string(dst) +
+                                   " p=" + std::to_string(p) +
+                                   " v=" + std::to_string(v);
+            ASSERT_EQ(want_err, got_err) << at;
+            if (!want_err.empty()) continue;
+            ASSERT_EQ(want.steps, got.steps) << at;
+            ASSERT_EQ(want.candidates.size(), got.candidates.size()) << at;
+            for (std::size_t i = 0; i < want.candidates.size(); ++i)
+              ASSERT_TRUE(want.candidates[i] == got.candidates[i])
+                  << "cand " << i << " " << at;
+          }
+  };
+  int on_kernel = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    KernelRouteGenerator gen(seed * 7919);
+    const std::string source = gen.generate();
+    SCOPED_TRACE(source);
+    flexrouter::FaultSet f(topo);
+    flexrouter::RuleDrivenRouting vm(source, 2, ExecMode::Vm);
+    flexrouter::RuleDrivenRouting kernel(source, 2, ExecMode::Aot);
+    kernel.set_aot_budget(1);
+    vm.attach(topo, f);
+    kernel.attach(topo, f);
+    const auto ti = kernel.aot_tier_info();
+    if (ti.tier == flexrouter::RuleDrivenRouting::AotTier::Kernel) ++on_kernel;
+    ASSERT_NO_FATAL_FAILURE(lockstep(vm, kernel));
+    // The kernel answers itself except where an evaluation raises (here:
+    // in_port = -1 against its declared 0..dim domain).
+    EXPECT_LT(kernel.aot_tier_info().vm_decisions, 64 * 5 * 3 / 2);
+    flexrouter::Rng rng(seed);
+    flexrouter::inject_random_link_faults(f, 2, rng);
+    vm.reconfigure();
+    kernel.reconfigure();
+    ASSERT_NO_FATAL_FAILURE(lockstep(vm, kernel));
+  }
+  // Every generated shape is inside the lowered subset.
+  EXPECT_EQ(on_kernel, 30);
 }
 
 // ---------------------------------------------------------- parser fuzzing

@@ -315,6 +315,44 @@ TEST(ShardIdentityFaulted, LiveLifecycleBitIdentical) {
   expect_shard_identity(sc);
 }
 
+// ------------------------------------------------- flit-movement counter
+
+// total_flit_movements() sums per-shard running totals; it must equal the
+// sum of every router's forwarded + ejected + dropped flits (the walk it
+// replaced) on every cycle, at every shard count.
+TEST(FlitMovements, ShardTotalsMatchRouterStatsEveryCycle) {
+  Mesh m = Mesh::two_d(8, 8);
+  std::vector<std::int64_t> finals;
+  for (const int shards : {1, 2, 4, 8}) {
+    SCOPED_TRACE(shards);
+    auto algo = make_algorithm("nafta");
+    NetworkConfig ncfg;
+    ncfg.shards = shards;
+    ncfg.shard_threads = 1;
+    Network net(m, *algo, ncfg);
+    Rng rng(9);
+    for (Cycle now = 0; now < 400; ++now) {
+      if (now < 300) {
+        for (int k = 0; k < 4; ++k) {
+          const auto src = static_cast<NodeId>(rng.next_below(64));
+          auto dst = static_cast<NodeId>(rng.next_below(64));
+          if (dst == src) dst = (dst + 1) % 64;
+          net.send(src, dst, 4, now);
+        }
+      }
+      net.step(now);
+      const RouterStats agg = net.aggregate_stats();
+      ASSERT_EQ(net.total_flit_movements(), agg.flits_forwarded +
+                                                agg.flits_ejected +
+                                                agg.flits_dropped)
+          << "cycle " << now;
+    }
+    EXPECT_GT(net.total_flit_movements(), 0);
+    finals.push_back(net.total_flit_movements());
+  }
+  for (const std::int64_t f : finals) EXPECT_EQ(f, finals.front());
+}
+
 // ------------------------------------------------------ inert-cycle skipping
 
 /// `want` holds the exact values of a low-load run captured with every

@@ -236,8 +236,8 @@ int emit_table(bool json) {
   bool clean = !reports.empty();
   for (const auto& r : reports) {
     // Every shipped program must reach a table tier. The eager tiers must
-    // additionally pre-resolve every presentable point; the lazy tier fills
-    // from the miss path, so only the tier choice is gated there.
+    // additionally pre-resolve every presentable point; the kernel resolves
+    // every point by construction, so only the tier choice is gated there.
     if (!r.active || r.tier == "vm") clean = false;
     if ((r.tier == "direct" || r.tier == "compressed") && r.fallback != 0)
       clean = false;
@@ -255,6 +255,7 @@ int emit_table(bool json) {
                 << "\", \"full_entries\": " << r.full_entries
                 << ", \"compression_ratio\": " << r.compression_ratio
                 << ", \"entries\": " << r.entries
+                << ", \"axes\": " << r.axes
                 << ", \"resolved\": " << r.resolved
                 << ", \"unreachable\": " << r.unreachable
                 << ", \"fallback\": " << r.fallback << ", \"bytes\": "
